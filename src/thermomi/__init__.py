@@ -5,123 +5,25 @@ The library builds Gibbs states of finite-dimensional bipartite models,
 computes von Neumann and relative entropies, the mutual information
 I = S_A + S_B - S_AB, and the bound I <= -beta*E_int + ln(Z_A Z_B / Z_AB),
 plus sweeps over temperature and coupling for the two-spin XY model.
+
+Each module's ``__all__`` decides what it makes public; the package
+re-exports exactly those names. The CLI module is not imported here.
 """
 
-from .operator_core import (
-    DimPair,
-    EigensolverError,
-    HermiticityError,
-    OperatorError,
-    SpectralDecomposition,
-    SpectralDomainError,
-    as_operator,
-    eigh,
-    frobenius_norm,
-    kron,
-    oracle_expm_taylor,
-    partial_trace,
-    require_hermitian,
-    spectral_apply,
-)
-from .models import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    BipartiteHamiltonian,
-    GroundStateClass,
-    GroundStateInfo,
-    XYParams,
-    assemble_bipartite,
-    random_bipartite,
-    xy_ground_state,
-    xy_hamiltonian,
-)
-from .thermal import (
-    EnergyBreakdown,
-    LocalGibbsState,
-    ThermalState,
-    energy_breakdown,
-    gibbs_state,
-    local_gibbs_state,
-    subsystem_states,
-)
-from .information import (
-    InfoReport,
-    InvalidStateError,
-    entropy_identity_residual,
-    mutual_info_upper_bound,
-    mutual_information,
-    relative_entropy,
-    thermal_point,
-    upper_bound_from_parts,
-    von_neumann_entropy,
-)
-from .sweep import (
-    ExploreSummary,
-    Spacing,
-    SweepMode,
-    SweepRecord,
-    SweepSpec,
-    evaluate_xy_point,
-    explore_bound,
-    fig1_suite,
-    run_sweep,
-    sweep_axis,
-)
+from . import information, models, operator_core, sweep, thermal
+from .operator_core import *  # noqa: F401,F403
+from .models import *  # noqa: F401,F403
+from .thermal import *  # noqa: F401,F403
+from .information import *  # noqa: F401,F403
+from .sweep import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DimPair",
-    "SpectralDecomposition",
-    "OperatorError",
-    "HermiticityError",
-    "EigensolverError",
-    "SpectralDomainError",
-    "as_operator",
-    "frobenius_norm",
-    "require_hermitian",
-    "kron",
-    "partial_trace",
-    "eigh",
-    "spectral_apply",
-    "oracle_expm_taylor",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "BipartiteHamiltonian",
-    "XYParams",
-    "GroundStateClass",
-    "GroundStateInfo",
-    "assemble_bipartite",
-    "xy_hamiltonian",
-    "xy_ground_state",
-    "random_bipartite",
-    "ThermalState",
-    "LocalGibbsState",
-    "EnergyBreakdown",
-    "gibbs_state",
-    "subsystem_states",
-    "local_gibbs_state",
-    "energy_breakdown",
-    "InfoReport",
-    "InvalidStateError",
-    "von_neumann_entropy",
-    "relative_entropy",
-    "entropy_identity_residual",
-    "mutual_information",
-    "mutual_info_upper_bound",
-    "upper_bound_from_parts",
-    "thermal_point",
-    "SweepMode",
-    "Spacing",
-    "SweepSpec",
-    "SweepRecord",
-    "ExploreSummary",
-    "sweep_axis",
-    "evaluate_xy_point",
-    "run_sweep",
-    "fig1_suite",
-    "explore_bound",
+    *operator_core.__all__,
+    *models.__all__,
+    *thermal.__all__,
+    *information.__all__,
+    *sweep.__all__,
     "__version__",
 ]

@@ -19,21 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import BipartiteHamiltonian, assemble_bipartite
-from .operator_core import (
-    DimPair,
-    OperatorError,
-    as_operator,
-    eigh,
-    partial_trace,
-    require_hermitian,
-)
+from .operator_core import DimPair, OperatorError, as_operator, eigh, partial_trace
 from .thermal import (
     EnergyBreakdown,
     ThermalState,
     energy_breakdown,
     gibbs_state,
     local_gibbs_state,
-    subsystem_states,
 )
 
 __all__ = [
@@ -81,11 +73,11 @@ class InfoReport:
 
 def _density_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
     """Validate a density matrix and return its (clipped) spectrum and basis."""
-    a = require_hermitian(rho)
+    a = as_operator(rho)
+    dec = eigh(a)
     trace = float(np.trace(a).real)
     if abs(trace - 1.0) > _TRACE_TOL:
         raise InvalidStateError(f"density matrix trace {trace!r} deviates from 1")
-    dec = eigh(a)
     if dec.eigenvalues[0] < -_NEG_EIG_TOL:
         raise InvalidStateError(
             f"density matrix has eigenvalue {dec.eigenvalues[0]!r} below the roundoff floor"
@@ -167,17 +159,17 @@ def thermal_point(bh: BipartiteHamiltonian, beta: float) -> tuple[InfoReport, En
     This is the single pipeline behind sweeps, the random explorer and the
     CLI: joint Gibbs state, reduced states, three entropies, the energy
     decomposition, the two local partition functions, the mutual information
-    and its upper bound.
+    and its upper bound. The joint Hamiltonian is diagonalized once; S_AB is
+    read off the Gibbs populations, which are the spectrum of rho_AB.
     """
     ts = gibbs_state(assemble_bipartite(bh), beta, bh.dims)
-    rho_a, rho_b = subsystem_states(ts)
     eb = energy_breakdown(bh, ts)
     local_a = local_gibbs_state(bh.h_a, beta)
     local_b = local_gibbs_state(bh.h_b, beta)
 
-    s_a = von_neumann_entropy(rho_a)
-    s_b = von_neumann_entropy(rho_b)
-    s_ab = von_neumann_entropy(ts.rho)
+    s_a = von_neumann_entropy(ts.rho_a)
+    s_b = von_neumann_entropy(ts.rho_b)
+    s_ab = _entropy_from_spectrum(ts.populations)
     report = InfoReport(
         s_a=s_a,
         s_b=s_b,

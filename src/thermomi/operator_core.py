@@ -41,8 +41,8 @@ EIG_RESIDUAL_TOL = 1e-10
 # Series truncation for the matrix-exponential oracle (relative to partial sum).
 TAYLOR_CUTOFF = 1e-16
 
-# A unit column of dimension <= 64 has a component of magnitude >= 1/8,
-# so this cutoff always finds the leading entry used to fix phases.
+# A unit column of dimension n has a component of magnitude >= 1/sqrt(n),
+# so for any n below 1e16 this cutoff finds the leading entry used to fix phases.
 _PHASE_CUTOFF = 1e-8
 
 
@@ -155,15 +155,9 @@ def partial_trace(m, dims: DimPair, keep: str) -> np.ndarray:
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is real positive."""
-    out = v.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = np.flatnonzero(np.abs(col) > _PHASE_CUTOFF)
-        lead = col[idx[0]] if idx.size else col[np.argmax(np.abs(col))]
-        mag = abs(lead)
-        if mag > 0.0:
-            out[:, k] = col * (lead.conjugate() / mag)
-    return out
+    first = np.argmax(np.abs(v) > _PHASE_CUTOFF, axis=0)
+    lead = v[first, np.arange(v.shape[1])]
+    return v * (lead.conj() / np.abs(lead))
 
 
 def eigh(h) -> SpectralDecomposition:

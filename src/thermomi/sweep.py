@@ -48,7 +48,6 @@ FIG1_FIELDS = {"a": (0.5, 0.5), "b": (2.0, 2.0), "c": (3.0, 1.0)}
 class SweepMode(Enum):
     TEMPERATURE = "temperature"
     COUPLING = "coupling"
-    RANDOM_EXPLORE = "random-explore"
 
 
 class Spacing(Enum):
@@ -116,8 +115,6 @@ class ExploreSummary:
 
 
 def _validate_spec(spec: SweepSpec) -> None:
-    if spec.mode is SweepMode.RANDOM_EXPLORE:
-        raise ValueError("random exploration has no grid axis; use explore_bound")
     if not (math.isfinite(spec.axis_min) and math.isfinite(spec.axis_max)):
         raise ValueError("axis bounds must be finite")
     if spec.axis_min >= spec.axis_max:

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import BipartiteHamiltonian, assemble_bipartite
+from .models import BipartiteHamiltonian
 from .operator_core import (
     DimPair,
     OperatorError,
     SpectralDecomposition,
+    as_operator,
     eigh,
     partial_trace,
-    require_hermitian,
 )
 
 __all__ = [
@@ -35,12 +35,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Joint Gibbs state exp(-beta H)/Z with its log partition function."""
+    """Joint Gibbs state exp(-beta H)/Z and everything read off its one eigh.
+
+    ``populations`` is the spectrum of ``rho`` (ascending energy order),
+    ``rho_a`` and ``rho_b`` are its reduced states and ``energy`` is Tr[rho H].
+    """
 
     rho: np.ndarray
     beta: float
     log_z: float
     dims: DimPair
+    populations: np.ndarray
+    rho_a: np.ndarray
+    rho_b: np.ndarray
+    energy: float
 
 
 @dataclass(frozen=True)
@@ -67,8 +75,8 @@ def _check_beta(beta: float) -> float:
     return float(beta)
 
 
-def _boltzmann(dec: SpectralDecomposition, beta: float) -> tuple[np.ndarray, float]:
-    """Gibbs density matrix and ln Z from a spectral decomposition.
+def _boltzmann(dec: SpectralDecomposition, beta: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """Gibbs density matrix, ln Z and the populations from a spectral decomposition.
 
     Weights are exp(-beta (lambda - lambda_min)) so the largest weight is
     exactly one: at any beta the sum stays in range, and a (nearly)
@@ -80,57 +88,62 @@ def _boltzmann(dec: SpectralDecomposition, beta: float) -> tuple[np.ndarray, flo
     log_z = float(-beta * lam_min + math.log(z_shifted))
     populations = weights / z_shifted
     rho = (dec.eigenvectors * populations) @ dec.eigenvectors.conj().T
-    return 0.5 * (rho + rho.conj().T), log_z
-
-
-def gibbs_state(h, beta: float, dims: DimPair) -> ThermalState:
-    """Thermal equilibrium state of a joint Hamiltonian at inverse temperature beta."""
-    beta = _check_beta(beta)
-    a = require_hermitian(h)
-    if a.shape[0] != dims.dim:
-        raise OperatorError(
-            f"Hamiltonian dimension {a.shape[0]} does not match {dims.d_a}x{dims.d_b}"
-        )
-    rho, log_z = _boltzmann(eigh(a), beta)
-    return ThermalState(rho=rho, beta=beta, log_z=log_z, dims=dims)
-
-
-def local_gibbs_state(h_local, beta: float) -> LocalGibbsState:
-    """Gibbs state of a subsystem Hamiltonian alone."""
-    beta = _check_beta(beta)
-    rho, log_z = _boltzmann(eigh(require_hermitian(h_local)), beta)
-    return LocalGibbsState(rho_tilde=rho, log_z_local=log_z)
-
-
-def subsystem_states(ts: ThermalState) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced states (rho_A, rho_B) of a joint thermal state."""
-    return (
-        partial_trace(ts.rho, ts.dims, "A"),
-        partial_trace(ts.rho, ts.dims, "B"),
-    )
+    return 0.5 * (rho + rho.conj().T), log_z, populations
 
 
 def _expectation(rho: np.ndarray, h: np.ndarray) -> float:
     return float(np.trace(rho @ h).real)
 
 
+def gibbs_state(h, beta: float, dims: DimPair) -> ThermalState:
+    """Thermal equilibrium state of a joint Hamiltonian at inverse temperature beta."""
+    beta = _check_beta(beta)
+    a = as_operator(h)
+    if a.shape[0] != dims.dim:
+        raise OperatorError(
+            f"Hamiltonian dimension {a.shape[0]} does not match {dims.d_a}x{dims.d_b}"
+        )
+    rho, log_z, populations = _boltzmann(eigh(a), beta)
+    return ThermalState(
+        rho=rho,
+        beta=beta,
+        log_z=log_z,
+        dims=dims,
+        populations=populations,
+        rho_a=partial_trace(rho, dims, "A"),
+        rho_b=partial_trace(rho, dims, "B"),
+        energy=_expectation(rho, a),
+    )
+
+
+def local_gibbs_state(h_local, beta: float) -> LocalGibbsState:
+    """Gibbs state of a subsystem Hamiltonian alone."""
+    beta = _check_beta(beta)
+    rho, log_z, _ = _boltzmann(eigh(h_local), beta)
+    return LocalGibbsState(rho_tilde=rho, log_z_local=log_z)
+
+
+def subsystem_states(ts: ThermalState) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced states (rho_A, rho_B) of a joint thermal state."""
+    return ts.rho_a, ts.rho_b
+
+
 def energy_breakdown(bh: BipartiteHamiltonian, ts: ThermalState) -> EnergyBreakdown:
     """Split the thermal energy into E_A, E_B and the interaction term.
 
     E_A and E_B are local expectations in the reduced states; E_int is the
-    expectation of the coupling in the joint state. The total is computed
-    independently as Tr[rho H], not as the sum, so the decomposition
-    identity stays a real check.
+    expectation of the coupling in the joint state. The total is the state's
+    own Tr[rho H], not the sum, so the decomposition identity stays a real
+    check.
     """
     if bh.dims != ts.dims:
         raise OperatorError(
             f"model dims {bh.dims.d_a}x{bh.dims.d_b} do not match state dims "
             f"{ts.dims.d_a}x{ts.dims.d_b}"
         )
-    rho_a, rho_b = subsystem_states(ts)
     return EnergyBreakdown(
-        e_total=_expectation(ts.rho, assemble_bipartite(bh)),
-        e_a=_expectation(rho_a, bh.h_a),
-        e_b=_expectation(rho_b, bh.h_b),
+        e_total=ts.energy,
+        e_a=_expectation(ts.rho_a, bh.h_a),
+        e_b=_expectation(ts.rho_b, bh.h_b),
         e_int=_expectation(ts.rho, bh.h_int),
     )

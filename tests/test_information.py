@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from thermomi import (
+    BipartiteHamiltonian,
     DimPair,
     InvalidStateError,
     OperatorError,
@@ -289,3 +290,37 @@ def test_report_matches_closed_form_for_xy():
         assert abs(eb.e_int - q["e_int"]) < 1e-10
         assert abs(eb.e_a - q["e_a"]) < 1e-10
         assert abs(report.log_z_ab - q["log_z_ab"]) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# S_AB from the Gibbs populations
+# ---------------------------------------------------------------------------
+
+def test_thermal_point_diagonalizes_joint_hamiltonian_once(monkeypatch):
+    calls_by_dim = {}
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        n = np.shape(a)[0]
+        calls_by_dim[n] = calls_by_dim.get(n, 0) + 1
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    thermal_point(random_bipartite(2, 3, 1.0, seed=71), 1.0)
+    assert calls_by_dim[6] == 1
+
+
+def test_s_ab_from_populations_matches_density_entropy():
+    zero = BipartiteHamiltonian(
+        h_a=np.zeros((2, 2)), h_b=np.zeros((3, 3)), h_int=np.zeros((6, 6)), dims=DimPair(2, 3)
+    )
+    models = [zero] + [
+        random_bipartite(d_a, d_b, 1.0, seed=800 + seed)
+        for d_a, d_b in ((2, 2), (2, 3), (3, 3))
+        for seed in range(3)
+    ]
+    for bh in models:
+        for beta in (0.0, 0.1, 1.0, 10.0, 500.0):
+            report, _ = thermal_point(bh, beta)
+            ts = gibbs_state(assemble_bipartite(bh), beta, bh.dims)
+            assert abs(report.s_ab - von_neumann_entropy(ts.rho)) <= 1e-12

@@ -206,22 +206,27 @@ def test_eigh_reconstruction_battery():
         assert np.all(np.diff(dec.eigenvalues) >= -1e-14)
 
 
+# Degenerate diagonal spectrum: eigenvectors are basis columns, ties included.
+DEGENERATE_DIAGONAL = np.diag([2.0, -1.0, 2.0, 0.0, -1.0, 2.0]).astype(complex)
+
+
 def test_eigh_deterministic():
     rng = np.random.default_rng(19)
-    h = random_hermitian(rng, 5)
-    d1 = eigh(h)
-    d2 = eigh(h)
-    assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-    assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+    for h in (random_hermitian(rng, 5), random_hermitian(rng, 256), DEGENERATE_DIAGONAL):
+        d1 = eigh(h)
+        d2 = eigh(h)
+        assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
+        assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
 
 
 def test_eigh_phase_convention():
     rng = np.random.default_rng(23)
-    dec = eigh(random_hermitian(rng, 6))
-    for k in range(6):
-        col = dec.eigenvectors[:, k]
-        lead = col[np.flatnonzero(np.abs(col) > 1e-8)[0]]
-        assert abs(lead.imag) < 1e-12 and lead.real > 0
+    for h in (random_hermitian(rng, 6), random_hermitian(rng, 256), DEGENERATE_DIAGONAL):
+        dec = eigh(h)
+        for k in range(h.shape[0]):
+            col = dec.eigenvectors[:, k]
+            lead = col[np.flatnonzero(np.abs(col) > 1e-8)[0]]
+            assert abs(lead.imag) < 1e-12 and lead.real > 0
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ def test_invalid_specs_rejected_before_computation():
         SweepSpec(SweepMode.COUPLING, good.params, -1.0, 5.0, 10, Spacing.LOG),
         SweepSpec(SweepMode.TEMPERATURE, good.params, 0.0, 10.0, 10, Spacing.LINEAR),
         SweepSpec(SweepMode.COUPLING, good.params, 0.0, 5.0, 10, Spacing.LINEAR, beta_inv=0.0),
-        SweepSpec(SweepMode.RANDOM_EXPLORE, good.params, 0.1, 1.0, 10, Spacing.LINEAR),
     ]
     for spec in bad:
         with pytest.raises(ValueError):
