@@ -23,9 +23,10 @@ from .operator_core import DimPair, OperatorError, as_operator, eigh, partial_tr
 from .thermal import (
     EnergyBreakdown,
     ThermalState,
+    _boltzmann,
+    _check_beta,
+    _thermal_state,
     energy_breakdown,
-    gibbs_state,
-    local_gibbs_state,
 )
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "entropy_identity_residual",
     "mutual_information",
     "mutual_info_upper_bound",
-    "upper_bound_from_parts",
     "thermal_point",
 ]
 
@@ -136,21 +136,49 @@ def mutual_information(state, dims: DimPair | None = None) -> float:
     Accepts a ThermalState, or any density matrix together with its ``dims``.
     """
     if isinstance(state, ThermalState):
-        rho, dims = state.rho, state.dims
-    else:
-        if dims is None:
-            raise OperatorError("dims is required when passing a bare density matrix")
-        rho = as_operator(state)
+        s_ab = _entropy_from_spectrum(state.populations)
+        return von_neumann_entropy(state.rho_a) + von_neumann_entropy(state.rho_b) - s_ab
+    if dims is None:
+        raise OperatorError("dims is required when passing a bare density matrix")
+    rho = as_operator(state)
     rho_a = partial_trace(rho, dims, "A")
     rho_b = partial_trace(rho, dims, "B")
     return von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - von_neumann_entropy(rho)
 
 
-def upper_bound_from_parts(
-    beta: float, e_int: float, log_z_a: float, log_z_b: float, log_z_ab: float
-) -> float:
-    """The bound -beta*E_int + ln(Z_A Z_B / Z_AB) from its ingredients."""
-    return -beta * e_int + log_z_a + log_z_b - log_z_ab
+def _thermal_points(bh: BipartiteHamiltonian, betas) -> list[tuple[InfoReport, EnergyBreakdown]]:
+    """``thermal_point`` at every beta in ``betas``, from one spectrum per Hamiltonian.
+
+    Every beta is checked before any work. H_AB, H_A and H_B are then
+    diagonalized once each, and each beta is read off those spectra with
+    exactly the arithmetic of a single point.
+    """
+    betas = [_check_beta(beta) for beta in betas]
+    h = assemble_bipartite(bh)
+    dec, dec_a, dec_b = eigh(h), eigh(bh.h_a), eigh(bh.h_b)
+    points = []
+    for beta in betas:
+        ts = _thermal_state(dec, h, beta, bh.dims)
+        eb = energy_breakdown(bh, ts)
+        log_z_a = _boltzmann(dec_a, beta)[1]
+        log_z_b = _boltzmann(dec_b, beta)[1]
+        s_a = von_neumann_entropy(ts.rho_a)
+        s_b = von_neumann_entropy(ts.rho_b)
+        s_ab = _entropy_from_spectrum(ts.populations)
+        report = InfoReport(
+            s_a=s_a,
+            s_b=s_b,
+            s_ab=s_ab,
+            mutual_info=s_a + s_b - s_ab,
+            upper_bound=-beta * eb.e_int + log_z_a + log_z_b - ts.log_z,
+            log_z_a=log_z_a,
+            log_z_b=log_z_b,
+            log_z_ab=ts.log_z,
+            e_int=eb.e_int,
+            beta=beta,
+        )
+        points.append((report, eb))
+    return points
 
 
 def thermal_point(bh: BipartiteHamiltonian, beta: float) -> tuple[InfoReport, EnergyBreakdown]:
@@ -162,32 +190,9 @@ def thermal_point(bh: BipartiteHamiltonian, beta: float) -> tuple[InfoReport, En
     and its upper bound. The joint Hamiltonian is diagonalized once; S_AB is
     read off the Gibbs populations, which are the spectrum of rho_AB.
     """
-    ts = gibbs_state(assemble_bipartite(bh), beta, bh.dims)
-    eb = energy_breakdown(bh, ts)
-    local_a = local_gibbs_state(bh.h_a, beta)
-    local_b = local_gibbs_state(bh.h_b, beta)
-
-    s_a = von_neumann_entropy(ts.rho_a)
-    s_b = von_neumann_entropy(ts.rho_b)
-    s_ab = _entropy_from_spectrum(ts.populations)
-    report = InfoReport(
-        s_a=s_a,
-        s_b=s_b,
-        s_ab=s_ab,
-        mutual_info=s_a + s_b - s_ab,
-        upper_bound=upper_bound_from_parts(
-            ts.beta, eb.e_int, local_a.log_z_local, local_b.log_z_local, ts.log_z
-        ),
-        log_z_a=local_a.log_z_local,
-        log_z_b=local_b.log_z_local,
-        log_z_ab=ts.log_z,
-        e_int=eb.e_int,
-        beta=ts.beta,
-    )
-    return report, eb
+    return _thermal_points(bh, (beta,))[0]
 
 
 def mutual_info_upper_bound(bh: BipartiteHamiltonian, beta: float) -> float:
     """Upper bound on the thermal mutual information of a bipartite model."""
-    report, _ = thermal_point(bh, beta)
-    return report.upper_bound
+    return thermal_point(bh, beta)[0].upper_bound

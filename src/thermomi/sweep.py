@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .information import thermal_point
+from .information import _thermal_points, thermal_point
 from .models import XYParams, random_bipartite, xy_hamiltonian
+from .thermal import _check_beta
 
 __all__ = [
     "VIOLATION_TOL",
@@ -138,15 +139,8 @@ def sweep_axis(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.axis_min, spec.axis_max, spec.points)
 
 
-def evaluate_xy_point(params: XYParams, beta: float, beta_inv: float | None = None) -> SweepRecord:
-    """Full evaluation of one XY-model grid point.
-
-    ``beta_inv`` is recorded as given (so grid values serialize exactly);
-    it defaults to 1/beta.
-    """
-    if beta_inv is None:
-        beta_inv = math.inf if beta == 0.0 else 1.0 / beta
-    report, eb = thermal_point(xy_hamiltonian(params), beta)
+def _record(params: XYParams, beta_inv: float, report, eb) -> SweepRecord:
+    """One grid point's record from its ``thermal_point`` results."""
     return SweepRecord(
         beta_inv=float(beta_inv),
         g=params.g,
@@ -168,22 +162,31 @@ def evaluate_xy_point(params: XYParams, beta: float, beta_inv: float | None = No
     )
 
 
+def evaluate_xy_point(params: XYParams, beta: float, beta_inv: float | None = None) -> SweepRecord:
+    """Full evaluation of one XY-model grid point.
+
+    ``beta_inv`` is recorded as given (so grid values serialize exactly);
+    it defaults to 1/beta.
+    """
+    if beta_inv is None:
+        beta_inv = math.inf if beta == 0.0 else 1.0 / beta
+    return _record(params, beta_inv, *thermal_point(xy_hamiltonian(params), beta))
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
-    """Evaluate a sweep, one record per grid point in ascending axis order."""
+    """Evaluate a sweep, one record per grid point in ascending axis order.
+
+    A temperature sweep diagonalizes its one Hamiltonian once for all points.
+    """
     axis = sweep_axis(spec)
-    records = []
     if spec.mode is SweepMode.TEMPERATURE:
-        for beta_inv in axis:
-            records.append(
-                evaluate_xy_point(spec.params, beta=1.0 / beta_inv, beta_inv=float(beta_inv))
-            )
-    else:
-        beta = 1.0 / spec.beta_inv
-        for g in axis:
-            records.append(
-                evaluate_xy_point(replace(spec.params, g=float(g)), beta, beta_inv=spec.beta_inv)
-            )
-    return records
+        points = _thermal_points(xy_hamiltonian(spec.params), [1.0 / b for b in axis])
+        return [_record(spec.params, b, *point) for b, point in zip(axis, points)]
+    beta = 1.0 / spec.beta_inv
+    return [
+        evaluate_xy_point(replace(spec.params, g=float(g)), beta, beta_inv=spec.beta_inv)
+        for g in axis
+    ]
 
 
 def fig1_suite() -> dict[str, list[SweepRecord]]:
@@ -239,31 +242,18 @@ def explore_bound(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    betas = tuple(float(b) for b in beta_list)
+    betas = tuple(_check_beta(b) for b in beta_list)
     if not betas:
         raise ValueError("beta_list must not be empty")
-    for b in betas:
-        if not math.isfinite(b) or b < 0.0:
-            raise ValueError(f"beta values must be finite and >= 0, got {b!r}")
 
     gaps: list[float] = []
     mi_values: list[float] = []
-    violations = 0
-    worst_gap = math.inf
-    worst_seed = seed
     for k in range(samples):
-        sample_seed = seed + k
-        bh = random_bipartite(d_a, d_b, interaction_scale, sample_seed)
-        for beta in betas:
-            report, _ = thermal_point(bh, beta)
-            gap = report.upper_bound - report.mutual_info
-            gaps.append(gap)
+        bh = random_bipartite(d_a, d_b, interaction_scale, seed + k)
+        for report, _ in _thermal_points(bh, betas):
+            gaps.append(report.upper_bound - report.mutual_info)
             mi_values.append(report.mutual_info)
-            if gap < -VIOLATION_TOL:
-                violations += 1
-            if gap < worst_gap:
-                worst_gap = gap
-                worst_seed = sample_seed
+    gap_min = min(gaps)
     return ExploreSummary(
         d_a=d_a,
         d_b=d_b,
@@ -271,11 +261,11 @@ def explore_bound(
         interaction_scale=float(interaction_scale),
         seed=seed,
         beta_list=betas,
-        violations=violations,
-        gap_min=min(gaps),
+        violations=sum(gap < -VIOLATION_TOL for gap in gaps),
+        gap_min=gap_min,
         gap_mean=sum(gaps) / len(gaps),
         gap_max=max(gaps),
-        worst_seed=worst_seed,
+        worst_seed=seed + gaps.index(gap_min) // len(betas),
         mi_min=min(mi_values),
         mi_max=max(mi_values),
     )

@@ -103,7 +103,12 @@ def gibbs_state(h, beta: float, dims: DimPair) -> ThermalState:
         raise OperatorError(
             f"Hamiltonian dimension {a.shape[0]} does not match {dims.d_a}x{dims.d_b}"
         )
-    rho, log_z, populations = _boltzmann(eigh(a), beta)
+    return _thermal_state(eigh(a), a, beta, dims)
+
+
+def _thermal_state(dec: SpectralDecomposition, h, beta: float, dims: DimPair) -> ThermalState:
+    """ThermalState of ``h`` at a checked ``beta`` from its decomposition ``dec``."""
+    rho, log_z, populations = _boltzmann(dec, beta)
     return ThermalState(
         rho=rho,
         beta=beta,
@@ -112,7 +117,7 @@ def gibbs_state(h, beta: float, dims: DimPair) -> ThermalState:
         populations=populations,
         rho_a=partial_trace(rho, dims, "A"),
         rho_b=partial_trace(rho, dims, "B"),
-        energy=_expectation(rho, a),
+        energy=_expectation(rho, h),
     )
 
 

@@ -174,6 +174,15 @@ def test_mutual_information_bell_state():
     assert abs(mutual_information(rho, DimPair(2, 2)) - 2 * LN2) < 1e-12
 
 
+def test_mutual_information_of_thermal_state_equals_thermal_point():
+    for seed in range(20):
+        d_a, d_b = 2 + seed % 3, 2 + (seed // 3) % 3
+        bh = random_bipartite(d_a, d_b, 1.0, seed=seed)
+        for beta in np.linspace(0.0, 100.0, 20):
+            ts = gibbs_state(assemble_bipartite(bh), beta, bh.dims)
+            assert mutual_information(ts) == thermal_point(bh, beta)[0].mutual_info
+
+
 def test_mutual_information_needs_dims_for_bare_matrix():
     with pytest.raises(OperatorError):
         mutual_information(np.eye(4) / 4)
@@ -296,18 +305,9 @@ def test_report_matches_closed_form_for_xy():
 # S_AB from the Gibbs populations
 # ---------------------------------------------------------------------------
 
-def test_thermal_point_diagonalizes_joint_hamiltonian_once(monkeypatch):
-    calls_by_dim = {}
-    real_eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        n = np.shape(a)[0]
-        calls_by_dim[n] = calls_by_dim.get(n, 0) + 1
-        return real_eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+def test_thermal_point_diagonalizes_joint_hamiltonian_once(eigh_calls_by_dim):
     thermal_point(random_bipartite(2, 3, 1.0, seed=71), 1.0)
-    assert calls_by_dim[6] == 1
+    assert eigh_calls_by_dim[6] == 1
 
 
 def test_s_ab_from_populations_matches_density_entropy():

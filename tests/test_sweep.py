@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import thermomi.sweep
 from thermomi import (
     Spacing,
     SweepMode,
     SweepSpec,
     XYParams,
+    evaluate_xy_point,
     explore_bound,
     fig1_suite,
     random_bipartite,
@@ -115,6 +117,19 @@ def test_sweep_is_deterministic():
     assert first == second
 
 
+def test_temperature_sweep_matches_pointwise_evaluation():
+    spec = temperature_spec(3.0, 1.0, points=30)
+    pointwise = [
+        evaluate_xy_point(spec.params, beta=1.0 / b, beta_inv=float(b)) for b in sweep_axis(spec)
+    ]
+    assert _records_csv(run_sweep(spec)) == _records_csv(pointwise)
+
+
+def test_temperature_sweep_diagonalizes_its_hamiltonian_once(eigh_calls_by_dim):
+    run_sweep(temperature_spec(3.0, 1.0, points=30))
+    assert eigh_calls_by_dim[4] == 1
+
+
 # ---------------------------------------------------------------------------
 # fig1 suite
 # ---------------------------------------------------------------------------
@@ -192,13 +207,23 @@ def test_explore_worst_seed_replays():
     for beta in (0.5, 1.5):
         report, _ = thermal_point(bh, beta)
         gaps.append(report.upper_bound - report.mutual_info)
-    assert abs(min(gaps) - summary.gap_min) < 1e-14
+    assert min(gaps) == summary.gap_min
 
 
-def test_explore_validates_arguments():
+@pytest.mark.parametrize("samples", [1, 4])
+def test_explore_diagonalizes_each_model_once(eigh_calls_by_dim, samples):
+    explore_bound(2, 3, samples, [0.1, 1.0, 10.0], 1.0, seed=3)
+    assert eigh_calls_by_dim[6] == samples
+
+
+def test_explore_validates_arguments(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(thermomi.sweep, "random_bipartite", lambda *args: drawn.append(args))
     with pytest.raises(ValueError):
         explore_bound(2, 2, 0, [1.0], 1.0, seed=0)
     with pytest.raises(ValueError):
         explore_bound(2, 2, 5, [], 1.0, seed=0)
-    with pytest.raises(ValueError):
-        explore_bound(2, 2, 5, [-1.0], 1.0, seed=0)
+    for betas in ([-1.0], [math.nan], [1.0, math.inf]):
+        with pytest.raises(ValueError):
+            explore_bound(2, 2, 5, betas, 1.0, seed=0)
+    assert drawn == []
