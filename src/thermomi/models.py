@@ -45,6 +45,8 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 BOUNDARY_BAND = 1e-12
 # Spectral gap below which the minimum eigenvalue counts as degenerate.
 _GROUND_GAP_TOL = 1e-12
+# The XY coupling sx(x)sx + sy(x)sy at g = 1, built once.
+_XX_YY = kron(PAULI_X, PAULI_X) + kron(PAULI_Y, PAULI_Y)
 
 
 @dataclass(frozen=True)
@@ -117,18 +119,18 @@ class GroundStateInfo:
 
 def assemble_bipartite(bh: BipartiteHamiltonian) -> np.ndarray:
     """Joint Hamiltonian H_A x I_B + I_A x H_B + H_int."""
+    # The blocks were validated when bh was built, so np.kron takes them as they are.
     eye_a = np.eye(bh.dims.d_a, dtype=np.complex128)
     eye_b = np.eye(bh.dims.d_b, dtype=np.complex128)
-    return kron(bh.h_a, eye_b) + kron(eye_a, bh.h_b) + bh.h_int
+    return np.kron(bh.h_a, eye_b) + np.kron(eye_a, bh.h_b) + bh.h_int
 
 
 def xy_hamiltonian(p: XYParams) -> BipartiteHamiltonian:
     """Two spin-1/2 particles in z-fields b1, b2 with XY coupling g."""
-    h_int = p.g * (kron(PAULI_X, PAULI_X) + kron(PAULI_Y, PAULI_Y))
     return BipartiteHamiltonian(
         h_a=p.b1 * PAULI_Z,
         h_b=p.b2 * PAULI_Z,
-        h_int=h_int,
+        h_int=p.g * _XX_YY,
         dims=DimPair(2, 2),
     )
 

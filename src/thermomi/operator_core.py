@@ -8,20 +8,16 @@ Frobenius-norm distance, never by entrywise identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "EPS_HERM",
     "EIG_RESIDUAL_TOL",
-    "TAYLOR_CUTOFF",
     "OperatorError",
     "HermiticityError",
     "EigensolverError",
-    "SpectralDomainError",
     "DimPair",
     "SpectralDecomposition",
     "as_operator",
@@ -30,16 +26,12 @@ __all__ = [
     "kron",
     "partial_trace",
     "eigh",
-    "spectral_apply",
-    "oracle_expm_taylor",
 ]
 
 # Relative hermiticity tolerance enforced at construction.
 EPS_HERM = 1e-12
 # Orthonormality and reconstruction bound for eigendecompositions.
 EIG_RESIDUAL_TOL = 1e-10
-# Series truncation for the matrix-exponential oracle (relative to partial sum).
-TAYLOR_CUTOFF = 1e-16
 
 # A unit column of dimension n has a component of magnitude >= 1/sqrt(n),
 # so for any n below 1e16 this cutoff finds the leading entry used to fix phases.
@@ -56,10 +48,6 @@ class HermiticityError(OperatorError):
 
 class EigensolverError(OperatorError):
     """Eigendecomposition failed to converge or violated its residual contract."""
-
-
-class SpectralDomainError(OperatorError):
-    """A scalar function was evaluated outside its domain on the spectrum."""
 
 
 @dataclass(frozen=True)
@@ -186,53 +174,3 @@ def eigh(h) -> SpectralDecomposition:
     if ortho > EIG_RESIDUAL_TOL:
         raise EigensolverError(f"eigenvector orthonormality defect {ortho:.3e} violates contract")
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
-
-
-def spectral_apply(h, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian operator through its spectrum.
-
-    Returns V diag(f(lambda)) V^dagger. ``f`` must be finite on every
-    eigenvalue; a NaN/Inf evaluation raises naming the offending eigenvalue.
-    """
-    dec = eigh(h)
-    values = np.empty_like(dec.eigenvalues)
-    for i, lam in enumerate(dec.eigenvalues):
-        val = float(f(lam))
-        if not math.isfinite(val):
-            raise SpectralDomainError(f"function evaluated to {val!r} at eigenvalue {lam!r}")
-        values[i] = val
-    x = (dec.eigenvectors * values) @ dec.eigenvectors.conj().T
-    return 0.5 * (x + x.conj().T)
-
-
-def oracle_expm_taylor(h, s: float) -> np.ndarray:
-    """Matrix exponential exp(s*H) by scaling-and-squaring of the Taylor series.
-
-    Independent of the spectral route: no eigendecomposition is involved.
-    The argument is scaled by a power of two until its Frobenius norm is at
-    most one, the series is summed until the added term drops below
-    ``TAYLOR_CUTOFF`` relative to the partial sum, and the result is squared
-    back up.
-    """
-    a = require_hermitian(h)
-    if not math.isfinite(s):
-        raise OperatorError(f"scale must be finite, got {s!r}")
-    m = s * a
-    norm = frobenius_norm(m)
-    n_square = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
-    scaled = m / (2.0 ** n_square)
-
-    n = a.shape[0]
-    total = np.eye(n, dtype=np.complex128)
-    term = np.eye(n, dtype=np.complex128)
-    for k in range(1, 1000):
-        term = term @ scaled / k
-        total = total + term
-        if frobenius_norm(term) < TAYLOR_CUTOFF * frobenius_norm(total):
-            break
-    else:  # unreachable with scaled norm <= 1; guards against a broken loop
-        raise OperatorError("matrix-exponential series did not truncate")
-
-    for _ in range(n_square):
-        total = total @ total
-    return total

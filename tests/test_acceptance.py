@@ -25,18 +25,16 @@ from thermomi import (
     gibbs_state,
     mutual_info_upper_bound,
     mutual_information,
-    oracle_expm_taylor,
     partial_trace,
     random_bipartite,
     run_sweep,
-    spectral_apply,
     thermal_point,
     xy_ground_state,
     xy_hamiltonian,
 )
 from thermomi.cli import main as cli_main
 
-from oracles import random_hermitian
+from oracles import oracle_expm_taylor, random_hermitian, spectral_apply
 
 LN2 = math.log(2.0)
 BATTERY_BETAS = (0.1, 0.5, 1.0, 2.0, 10.0)

@@ -273,6 +273,20 @@ def test_usage_errors_exit_2(capsys):
         ["explore", "--dims", "1x2"],
         ["nonsense"],
         [],
+        # rejected by the library's validators, not by the CLI
+        ["point", "--b1", "nan", "--b2", "1", "--g", "1", "--beta", "1"],
+        ["point", "--b1", "1", "--b2", "1", "--g", "inf", "--beta", "1"],
+        ["sweep-temperature", "--b1", "nan", "--b2", "1", "--g", "1"],
+        ["explore", "--dims", "2x2", "--samples", "2", "--seed", "-1"],
+        ["point", "--b1", "1", "--b2", "1", "--g", "1", "--beta-inv", "1e-320"],
+        ["explore", "--dims", "2x2", "--samples", "0"],
+        ["explore", "--dims", "2x2", "--scale", "nan"],
+        ["explore", "--dims", "2x2", "--beta-list", "1,-1"],
+        ["explore", "--dims", "2x2", "--beta-list", ","],
+        ["sweep-coupling", "--b1", "1", "--b2", "1", "--beta", "0"],
+        # --beta-inv never reaches the library, so the CLI checks it
+        ["point", "--b1", "1", "--b2", "1", "--g", "1", "--beta-inv", "inf"],
+        ["point", "--b1", "1", "--b2", "1", "--g", "1", "--beta-inv", "0"],
     ]
     for args in cases:
         assert main(args) == 2, args
@@ -285,6 +299,20 @@ def test_numerical_validation_exits_3(capsys):
         code = main(["point", "--b1", "1e308", "--b2", "1e308", "--g", "1", "--beta", "1"])
     capsys.readouterr()
     assert code == 3
+
+
+def test_allocation_failure_exits_3(monkeypatch, capsys):
+    # stubbed: a model too large to allocate must never be allocated in a test
+    import thermomi.cli as cli_module
+
+    def out_of_memory(**kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli_module, "explore_bound", out_of_memory)
+    code = main(["explore", "--dims", "1000000x1000000", "--samples", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and "7.28 TiB" in err
 
 
 def test_io_failure_exits_4(tmp_path, capsys):

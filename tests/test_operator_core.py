@@ -7,22 +7,22 @@ from thermomi import (
     DimPair,
     HermiticityError,
     OperatorError,
-    SpectralDomainError,
     eigh,
     frobenius_norm,
     kron,
-    oracle_expm_taylor,
     partial_trace,
     require_hermitian,
-    spectral_apply,
 )
 from thermomi.models import PAULI_X, PAULI_Y, PAULI_Z
 
 from oracles import (
+    SpectralDomainError,
     brute_kron,
     brute_partial_trace,
+    oracle_expm_taylor,
     random_density,
     random_hermitian,
+    spectral_apply,
     xy_thermal_density,
 )
 
