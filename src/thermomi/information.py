@@ -14,19 +14,26 @@ coupling vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .models import BipartiteHamiltonian, assemble_bipartite
-from .operator_core import DimPair, OperatorError, as_operator, eigh, partial_trace
+from .models import BipartiteHamiltonian, _local_part
+from .operator_core import (
+    DimPair,
+    OperatorError,
+    _first_failure,
+    as_operator,
+    eigh,
+    partial_trace,
+)
 from .thermal import (
     EnergyBreakdown,
     ThermalState,
-    _boltzmann,
     _check_beta,
-    _thermal_state,
-    energy_breakdown,
+    _populations,
+    _reduced_blocks,
+    _reduced_states,
 )
 
 __all__ = [
@@ -72,28 +79,38 @@ class InfoReport:
 
 
 def _density_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a density matrix and return its (clipped) spectrum and basis."""
-    a = as_operator(rho)
-    dec = eigh(a)
-    trace = float(np.trace(a).real)
-    if abs(trace - 1.0) > _TRACE_TOL:
-        raise InvalidStateError(f"density matrix trace {trace!r} deviates from 1")
-    if dec.eigenvalues[0] < -_NEG_EIG_TOL:
+    """Validate a density matrix, or each of a stack (..., d, d), and return
+    the (clipped) spectra and bases."""
+    dec = eigh(rho)
+    trace = np.trace(np.asarray(rho), axis1=-2, axis2=-1).real
+    failed = np.abs(trace - 1.0) > _TRACE_TOL
+    if failed.any():
+        where, value = _first_failure(failed, trace)
+        raise InvalidStateError(f"{where}density matrix trace {value!r} deviates from 1")
+    lowest = dec.eigenvalues[..., 0]
+    failed = lowest < -_NEG_EIG_TOL
+    if failed.any():
+        where, value = _first_failure(failed, lowest)
         raise InvalidStateError(
-            f"density matrix has eigenvalue {dec.eigenvalues[0]!r} below the roundoff floor"
+            f"{where}density matrix has eigenvalue {value!r} below the roundoff floor"
         )
     return np.clip(dec.eigenvalues, 0.0, None), dec.eigenvectors
 
 
-def _entropy_from_spectrum(w: np.ndarray) -> float:
-    supported = w[w > EPS_WEIGHT]
-    return max(float(-(supported * np.log(supported)).sum()), 0.0)
+def _entropy_from_spectrum(w: np.ndarray) -> np.ndarray:
+    """-sum w ln w along the last axis over the weights above EPS_WEIGHT; never negative.
+
+    Weights at or below EPS_WEIGHT add exact zeros, so a row's bits do not
+    depend on how many rows share the call.
+    """
+    terms = w * np.log(np.where(w > EPS_WEIGHT, w, 1.0))
+    return np.maximum(-terms.sum(axis=-1), 0.0)
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr[rho ln rho] in nats; zero for pure states, ln d at most."""
-    w, _ = _density_spectrum(rho)
-    return _entropy_from_spectrum(w)
+    w, _ = _density_spectrum(as_operator(rho))
+    return float(_entropy_from_spectrum(w))
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -137,7 +154,7 @@ def mutual_information(state, dims: DimPair | None = None) -> float:
     """
     if isinstance(state, ThermalState):
         s_ab = _entropy_from_spectrum(state.populations)
-        return von_neumann_entropy(state.rho_a) + von_neumann_entropy(state.rho_b) - s_ab
+        return float(von_neumann_entropy(state.rho_a) + von_neumann_entropy(state.rho_b) - s_ab)
     if dims is None:
         raise OperatorError("dims is required when passing a bare density matrix")
     rho = as_operator(state)
@@ -146,51 +163,87 @@ def mutual_information(state, dims: DimPair | None = None) -> float:
     return von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - von_neumann_entropy(rho)
 
 
-def _thermal_points(bh: BipartiteHamiltonian, betas) -> list[tuple[InfoReport, EnergyBreakdown]]:
-    """``thermal_point`` at every beta in ``betas``, from one spectrum per Hamiltonian.
+def _joint_spectra(bh: BipartiteHamiltonian, couplings) -> tuple[np.ndarray, ...]:
+    """What ``_thermal_points`` needs of the joint spectra, from one (stacked) eigh.
 
-    Every beta is checked before any work. H_AB, H_A and H_B are then
-    diagonalized once each, and each beta is read off those spectra with
-    exactly the arithmetic of a single point.
+    Returns the eigenvalues, the eigenprojector blocks of ``_reduced_blocks``
+    and the per-level energies <v_k|X|v_k> for X = H, H_A x I, I x H_B and
+    H_int, stacked (..., 4, n). The joint eigenvectors and Hamiltonians are
+    dropped on return.
     """
-    betas = [_check_beta(beta) for beta in betas]
-    h = assemble_bipartite(bh)
-    dec, dec_a, dec_b = eigh(h), eigh(bh.h_a), eigh(bh.h_b)
-    points = []
-    for beta in betas:
-        ts = _thermal_state(dec, h, beta, bh.dims)
-        eb = energy_breakdown(bh, ts)
-        log_z_a = _boltzmann(dec_a, beta)[1]
-        log_z_b = _boltzmann(dec_b, beta)[1]
-        s_a = von_neumann_entropy(ts.rho_a)
-        s_b = von_neumann_entropy(ts.rho_b)
-        s_ab = _entropy_from_spectrum(ts.populations)
-        report = InfoReport(
-            s_a=s_a,
-            s_b=s_b,
-            s_ab=s_ab,
-            mutual_info=s_a + s_b - s_ab,
-            upper_bound=-beta * eb.e_int + log_z_a + log_z_b - ts.log_z,
-            log_z_a=log_z_a,
-            log_z_b=log_z_b,
-            log_z_ab=ts.log_z,
-            e_int=eb.e_int,
-            beta=beta,
-        )
-        points.append((report, eb))
-    return points
+    h_int = np.asarray(couplings, dtype=np.float64)[..., None, None] * bh.h_int
+    dec = eigh(_local_part(bh) + h_int)
+    v = dec.eigenvectors
+    block_a, block_b = _reduced_blocks(v, bh.dims)
+    levels = np.stack(
+        [
+            dec.eigenvalues,
+            (block_a * bh.h_a.T[:, :, None]).sum(axis=(-3, -2)).real,
+            (block_b * bh.h_b.T[:, :, None]).sum(axis=(-3, -2)).real,
+            (v.conj() * (h_int @ v)).sum(axis=-2).real,
+        ],
+        axis=-2,
+    )
+    return dec.eigenvalues, block_a, block_b, levels
+
+
+def _thermal_points(bh: BipartiteHamiltonian, betas, couplings=1.0) -> dict[str, np.ndarray]:
+    """Every quantity of ``thermal_point`` at many points, as columns of shape (m,).
+
+    Point i is the model with its coupling H_int scaled by ``couplings[i]``,
+    at inverse temperature ``betas[i]``; a scalar coupling, or a single beta,
+    serves every point. Every beta is checked before any work. The joint
+    Hamiltonians go through one (stacked) eigh, H_A and H_B through one each.
+    Each point then costs O(n^2) arithmetic on those spectra plus its share of
+    one stacked eigh of the reduced states; no joint rho is formed. Every
+    reduction over points runs along the last axis, so a point's bits do not
+    depend on how many points share the call.
+    """
+    betas = np.array([_check_beta(beta) for beta in betas], dtype=np.float64)
+    energies, block_a, block_b, levels = _joint_spectra(bh, couplings)
+    dec_a, dec_b = eigh(bh.h_a), eigh(bh.h_b)
+
+    populations, log_z_ab = _populations(energies, betas)
+    log_z_a = _populations(dec_a.eigenvalues, betas)[1]
+    log_z_b = _populations(dec_b.eigenvalues, betas)[1]
+    e_total, e_a, e_b, e_int = np.moveaxis((populations[:, None, :] * levels).sum(axis=-1), -1, 0)
+    s_a = _entropy_from_spectrum(_density_spectrum(_reduced_states(populations, block_a))[0])
+    s_b = _entropy_from_spectrum(_density_spectrum(_reduced_states(populations, block_b))[0])
+    s_ab = _entropy_from_spectrum(populations)
+    columns = {
+        "s_a": s_a,
+        "s_b": s_b,
+        "s_ab": s_ab,
+        "mutual_info": s_a + s_b - s_ab,
+        "upper_bound": -betas * e_int + log_z_a + log_z_b - log_z_ab,
+        "log_z_a": log_z_a,
+        "log_z_b": log_z_b,
+        "log_z_ab": log_z_ab,
+        "e_int": e_int,
+        "beta": betas,
+        "e_total": e_total,
+        "e_a": e_a,
+        "e_b": e_b,
+    }
+    points = len(populations)
+    return {name: np.broadcast_to(column, (points,)) for name, column in columns.items()}
 
 
 def thermal_point(bh: BipartiteHamiltonian, beta: float) -> tuple[InfoReport, EnergyBreakdown]:
     """Evaluate every entropic and energetic quantity for one (model, beta).
 
     This is the single pipeline behind sweeps, the random explorer and the
-    CLI: joint Gibbs state, reduced states, three entropies, the energy
+    CLI: log Z and the populations from the joint spectrum, the reduced
+    states from its eigenprojectors, three entropies, the energy
     decomposition, the two local partition functions, the mutual information
-    and its upper bound. The joint Hamiltonian is diagonalized once; S_AB is
-    read off the Gibbs populations, which are the spectrum of rho_AB.
+    and its upper bound. Each Hamiltonian is diagonalized once; S_AB is read
+    off the Gibbs populations, which are the spectrum of rho_AB.
     """
-    return _thermal_points(bh, (beta,))[0]
+    point = {name: column.item() for name, column in _thermal_points(bh, (beta,)).items()}
+    return (
+        InfoReport(**{f.name: point[f.name] for f in fields(InfoReport)}),
+        EnergyBreakdown(**{f.name: point[f.name] for f in fields(EnergyBreakdown)}),
+    )
 
 
 def mutual_info_upper_bound(bh: BipartiteHamiltonian, beta: float) -> float:

@@ -119,10 +119,15 @@ class GroundStateInfo:
 
 def assemble_bipartite(bh: BipartiteHamiltonian) -> np.ndarray:
     """Joint Hamiltonian H_A x I_B + I_A x H_B + H_int."""
+    return _local_part(bh) + bh.h_int
+
+
+def _local_part(bh: BipartiteHamiltonian) -> np.ndarray:
+    """H_A x I_B + I_A x H_B, the joint Hamiltonian without its coupling."""
     # The blocks were validated when bh was built, so np.kron takes them as they are.
     eye_a = np.eye(bh.dims.d_a, dtype=np.complex128)
     eye_b = np.eye(bh.dims.d_b, dtype=np.complex128)
-    return np.kron(bh.h_a, eye_b) + np.kron(eye_a, bh.h_b) + bh.h_int
+    return np.kron(bh.h_a, eye_b) + np.kron(eye_a, bh.h_b)
 
 
 def xy_hamiltonian(p: XYParams) -> BipartiteHamiltonian:

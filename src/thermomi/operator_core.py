@@ -1,6 +1,7 @@
 """Dense complex operator algebra for small quantum systems.
 
-Operators are dense square ``complex128`` arrays. Every function treats its
+Operators are dense square ``complex128`` arrays; ``eigh`` also takes a
+stack (..., n, n) of them and checks each one. Every function treats its
 arguments as immutable values and returns fresh arrays, so the whole module
 is safe for concurrent use. Operator equality is always judged by
 Frobenius-norm distance, never by entrywise identity.
@@ -69,24 +70,68 @@ class DimPair:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian operator.
+    """Eigensystem of a Hermitian operator, or of each operator of a stack.
 
-    ``eigenvalues`` is real and ascending; column ``k`` of ``eigenvectors``
-    is the (unit, phase-fixed) eigenvector paired with ``eigenvalues[k]``.
+    ``eigenvalues`` is real and ascending along its last axis; column ``k``
+    of ``eigenvectors`` is the (unit, phase-fixed) eigenvector paired with
+    ``eigenvalues[..., k]``.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
+def _first_failure(failed: np.ndarray, *values: np.ndarray) -> tuple:
+    """Where the first failing matrix of a stack sits, then each of ``values`` there.
+
+    The location is a message prefix naming the stack index, empty when
+    ``failed`` belongs to a single matrix.
+    """
+    i = int(np.argmax(failed))
+    where = ""
+    if failed.ndim:
+        index = tuple(int(k) for k in np.unravel_index(i, failed.shape))
+        where = f"stack index {index[0] if len(index) == 1 else index}: "
+    return (where, *(float(value.flat[i]) for value in values))
+
+
+def _norms(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., n, n)."""
+    return np.linalg.norm(m, axis=(-2, -1))
+
+
+def _as_matrices(m) -> np.ndarray:
+    """Validate ``m`` as a stack (..., n, n) of square finite matrices, as complex128."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise OperatorError(f"expected a square matrix, got shape {a.shape}")
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        (where,) = _first_failure(~finite)
+        raise OperatorError(f"{where}matrix contains NaN or Inf entries")
+    return a
+
+
+def _require_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
+    """Check each matrix of the validated stack ``a`` against its own norm."""
+    defect = _norms(a - np.swapaxes(a, -2, -1).conj())
+    norm = _norms(a)
+    failed = defect > tol * np.maximum(1.0, norm)
+    if failed.any():
+        where, worst, size = _first_failure(failed, defect, norm)
+        raise HermiticityError(
+            f"{where}hermiticity defect {worst:.3e} exceeds tolerance for a matrix "
+            f"of norm {size:.3e}"
+        )
+    return a
+
+
 def as_operator(m) -> np.ndarray:
     """Validate ``m`` as a square finite complex matrix and return it as complex128."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2:
         raise OperatorError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise OperatorError("matrix contains NaN or Inf entries")
-    return a
+    return _as_matrices(a)
 
 
 def frobenius_norm(m) -> float:
@@ -100,14 +145,7 @@ def require_hermitian(m, tol: float = EPS_HERM) -> np.ndarray:
     Inputs that fail are rejected rather than symmetrized: a non-Hermitian
     matrix at this boundary is a caller bug that must surface.
     """
-    a = as_operator(m)
-    defect = frobenius_norm(a - a.conj().T)
-    if defect > tol * max(1.0, frobenius_norm(a)):
-        raise HermiticityError(
-            f"hermiticity defect {defect:.3e} exceeds tolerance for a matrix "
-            f"of norm {frobenius_norm(a):.3e}"
-        )
-    return a
+    return _require_hermitian(as_operator(m), tol)
 
 
 def kron(a, b) -> np.ndarray:
@@ -143,34 +181,46 @@ def partial_trace(m, dims: DimPair, keep: str) -> np.ndarray:
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is real positive."""
-    first = np.argmax(np.abs(v) > _PHASE_CUTOFF, axis=0)
-    lead = v[first, np.arange(v.shape[1])]
+    first = np.argmax(np.abs(v) > _PHASE_CUTOFF, axis=-2)
+    lead = np.take_along_axis(v, first[..., None, :], axis=-2)
     return v * (lead.conj() / np.abs(lead))
 
 
 def eigh(h) -> SpectralDecomposition:
     """Hermitian eigendecomposition with ascending eigenvalues.
 
-    Output is deterministic for identical input: eigenvector phases are fixed
-    so the first significant component of each column is real positive.
-    The decomposition is verified against its residual and orthonormality
-    bounds before being returned.
+    ``h`` is one matrix or a stack (..., n, n). A stack is decomposed by one
+    LAPACK call, and entry k of the result is bitwise the decomposition of
+    ``h[k]``. Output is deterministic for identical input: eigenvector phases
+    are fixed so the first significant component of each column is real
+    positive. Each matrix is checked for finiteness and Hermiticity before,
+    and against its residual and orthonormality bounds after; an error names
+    the stack index of the first matrix that fails.
     """
-    a = require_hermitian(h)
+    a = _require_hermitian(_as_matrices(h), EPS_HERM)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
+        # LAPACK fails a stack as a whole: name the stack and its largest norm.
+        where = "" if a.ndim == 2 else f"stack of shape {a.shape[:-2]}: "
         raise EigensolverError(
-            f"eigendecomposition did not converge for a dim-{a.shape[0]} matrix "
-            f"of norm {frobenius_norm(a):.3e}: {exc}"
+            f"{where}eigendecomposition did not converge for a dim-{a.shape[-1]} matrix "
+            f"of norm {float(_norms(a).max()):.3e}: {exc}"
         ) from exc
     v = _fix_phases(v.astype(np.complex128))
     w = w.astype(np.float64)
 
-    residual = frobenius_norm(a - (v * w) @ v.conj().T)
-    if residual > EIG_RESIDUAL_TOL * max(1.0, frobenius_norm(a)):
-        raise EigensolverError(f"reconstruction residual {residual:.3e} violates contract")
-    ortho = frobenius_norm(v.conj().T @ v - np.eye(a.shape[0]))
-    if ortho > EIG_RESIDUAL_TOL:
-        raise EigensolverError(f"eigenvector orthonormality defect {ortho:.3e} violates contract")
+    v_dagger = np.swapaxes(v, -2, -1).conj()
+    residual = _norms(a - (v * w[..., None, :]) @ v_dagger)
+    failed = residual > EIG_RESIDUAL_TOL * np.maximum(1.0, _norms(a))
+    if failed.any():
+        where, worst = _first_failure(failed, residual)
+        raise EigensolverError(f"{where}reconstruction residual {worst:.3e} violates contract")
+    ortho = _norms(v_dagger @ v - np.eye(a.shape[-1]))
+    failed = ortho > EIG_RESIDUAL_TOL
+    if failed.any():
+        where, worst = _first_failure(failed, ortho)
+        raise EigensolverError(
+            f"{where}eigenvector orthonormality defect {worst:.3e} violates contract"
+        )
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)

@@ -8,13 +8,13 @@ byte once serialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .information import _thermal_points, thermal_point
+from .information import _thermal_points
 from .models import XYParams, random_bipartite, xy_hamiltonian
 from .thermal import _check_beta
 
@@ -139,27 +139,26 @@ def sweep_axis(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.axis_min, spec.axis_max, spec.points)
 
 
-def _record(params: XYParams, beta_inv: float, report, eb) -> SweepRecord:
-    """One grid point's record from its ``thermal_point`` results."""
-    return SweepRecord(
-        beta_inv=float(beta_inv),
-        g=params.g,
+_RECORD_FIELDS = [f.name for f in fields(SweepRecord)]
+
+
+def _records(params: XYParams, beta_inv, g, columns) -> list[SweepRecord]:
+    """Grid records from ``_thermal_points`` columns.
+
+    ``beta_inv`` and ``g`` are the recorded axis values: one shared value or
+    one per point.
+    """
+    points = len(columns["beta"])
+    values = dict(
+        columns,
+        beta_inv=np.asarray(beta_inv, dtype=np.float64),
+        g=g,
         b1=params.b1,
         b2=params.b2,
-        mutual_info=report.mutual_info,
-        upper_bound=report.upper_bound,
-        gap=report.upper_bound - report.mutual_info,
-        s_a=report.s_a,
-        s_b=report.s_b,
-        s_ab=report.s_ab,
-        e_total=eb.e_total,
-        e_a=eb.e_a,
-        e_b=eb.e_b,
-        e_int=eb.e_int,
-        log_z_a=report.log_z_a,
-        log_z_b=report.log_z_b,
-        log_z_ab=report.log_z_ab,
+        gap=columns["upper_bound"] - columns["mutual_info"],
     )
+    rows = zip(*(np.broadcast_to(values[name], (points,)).tolist() for name in _RECORD_FIELDS))
+    return [SweepRecord(*row) for row in rows]
 
 
 def evaluate_xy_point(params: XYParams, beta: float, beta_inv: float | None = None) -> SweepRecord:
@@ -170,23 +169,24 @@ def evaluate_xy_point(params: XYParams, beta: float, beta_inv: float | None = No
     """
     if beta_inv is None:
         beta_inv = math.inf if beta == 0.0 else 1.0 / beta
-    return _record(params, beta_inv, *thermal_point(xy_hamiltonian(params), beta))
+    return _records(params, beta_inv, params.g, _thermal_points(xy_hamiltonian(params), (beta,)))[0]
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate a sweep, one record per grid point in ascending axis order.
 
-    A temperature sweep diagonalizes its one Hamiltonian once for all points.
+    The whole sweep is one ``_thermal_points`` call. A temperature sweep
+    diagonalizes its one Hamiltonian once; a coupling sweep diagonalizes
+    H(b1, b2, 0) + g (sx sx + sy sy) for every g in one stacked eigh, and
+    H_A and H_B once each.
     """
     axis = sweep_axis(spec)
     if spec.mode is SweepMode.TEMPERATURE:
-        points = _thermal_points(xy_hamiltonian(spec.params), [1.0 / b for b in axis])
-        return [_record(spec.params, b, *point) for b, point in zip(axis, points)]
-    beta = 1.0 / spec.beta_inv
-    return [
-        evaluate_xy_point(replace(spec.params, g=float(g)), beta, beta_inv=spec.beta_inv)
-        for g in axis
-    ]
+        columns = _thermal_points(xy_hamiltonian(spec.params), 1.0 / axis)
+        return _records(spec.params, axis, spec.params.g, columns)
+    unit_coupling = xy_hamiltonian(replace(spec.params, g=1.0))
+    columns = _thermal_points(unit_coupling, (1.0 / spec.beta_inv,), couplings=axis)
+    return _records(spec.params, spec.beta_inv, axis, columns)
 
 
 def fig1_suite() -> dict[str, list[SweepRecord]]:
@@ -249,10 +249,9 @@ def explore_bound(
     gaps: list[float] = []
     mi_values: list[float] = []
     for k in range(samples):
-        bh = random_bipartite(d_a, d_b, interaction_scale, seed + k)
-        for report, _ in _thermal_points(bh, betas):
-            gaps.append(report.upper_bound - report.mutual_info)
-            mi_values.append(report.mutual_info)
+        columns = _thermal_points(random_bipartite(d_a, d_b, interaction_scale, seed + k), betas)
+        gaps.extend((columns["upper_bound"] - columns["mutual_info"]).tolist())
+        mi_values.extend(columns["mutual_info"].tolist())
     gap_min = min(gaps)
     return ExploreSummary(
         d_a=d_a,

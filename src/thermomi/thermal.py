@@ -19,7 +19,6 @@ from .operator_core import (
     SpectralDecomposition,
     as_operator,
     eigh,
-    partial_trace,
 )
 
 __all__ = [
@@ -71,24 +70,67 @@ class EnergyBreakdown:
 
 def _check_beta(beta: float) -> float:
     if not math.isfinite(beta) or beta < 0.0:
-        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
+        raise ValueError(f"beta must be finite and >= 0, got {float(beta)!r}")
     return float(beta)
 
 
-def _boltzmann(dec: SpectralDecomposition, beta: float) -> tuple[np.ndarray, float, np.ndarray]:
-    """Gibbs density matrix, ln Z and the populations from a spectral decomposition.
+def _populations(eigenvalues: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gibbs populations and ln Z at each beta of ``betas`` (shape (m,)).
 
+    ``eigenvalues`` (..., n), ascending, broadcasts against ``betas[:, None]``,
+    so one spectrum serves every beta, or spectrum k goes with beta k.
     Weights are exp(-beta (lambda - lambda_min)) so the largest weight is
     exactly one: at any beta the sum stays in range, and a (nearly)
-    degenerate ground space receives equal weights automatically.
+    degenerate ground space receives equal weights automatically. Every
+    reduction runs along the last axis, so a point's bits do not depend on
+    how many points share the call.
     """
-    lam_min = dec.eigenvalues[0]
-    weights = np.exp(-beta * (dec.eigenvalues - lam_min))
-    z_shifted = float(weights.sum())
-    log_z = float(-beta * lam_min + math.log(z_shifted))
-    populations = weights / z_shifted
+    lam_min = eigenvalues[..., :1]
+    weights = np.exp(-betas[:, None] * (eigenvalues - lam_min))
+    z_shifted = weights.sum(axis=-1)
+    log_z = -betas * lam_min[..., 0] + np.log(z_shifted)
+    return weights / z_shifted[:, None], log_z
+
+
+def _reduced_blocks(v: np.ndarray, dims: DimPair) -> tuple[np.ndarray, np.ndarray]:
+    """Tr_B|v_k><v_k| and Tr_A|v_k><v_k| for each eigenvector column k of ``v``.
+
+    The blocks of ``v`` (..., n, n) come back as (..., d_a, d_a, n) and
+    (..., d_b, d_b, n), with k last, for ``_reduced_states``.
+    """
+    u = v.reshape(v.shape[:-2] + (dims.d_a, dims.d_b, dims.dim))
+    return _trace_out_middle(u), _trace_out_middle(np.swapaxes(u, -3, -2))
+
+
+def _trace_out_middle(u: np.ndarray) -> np.ndarray:
+    """sum_j u[..., i, j, k] conj(u[..., i', j, k]) as (..., i, i', k).
+
+    A sum of elementwise products in a fixed order, so a spectrum's blocks do
+    not depend on the stack it sits in.
+    """
+    blocks = u[..., :, None, 0, :] * u[..., None, :, 0, :].conj()
+    for j in range(1, u.shape[-2]):
+        blocks += u[..., :, None, j, :] * u[..., None, :, j, :].conj()
+    return blocks
+
+
+def _reduced_states(populations: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Reduced states sum_k p_k block_k, one per row of ``populations`` (m, n).
+
+    They are built one matrix row at a time, so the largest intermediate is
+    (m, d, n) rather than (m, d, d, n), which for a few betas at 16x16
+    would be the largest array of the whole evaluation.
+    """
+    weights = populations[:, None, :]
+    rows = [(weights * block_row).sum(axis=-1) for block_row in np.moveaxis(blocks, -3, 0)]
+    return np.stack(rows, axis=-2)
+
+
+def _boltzmann(dec: SpectralDecomposition, beta: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """Gibbs density matrix, ln Z and the populations from a spectral decomposition."""
+    populations, log_z = _populations(dec.eigenvalues, np.array([beta]))
     rho = (dec.eigenvectors * populations) @ dec.eigenvectors.conj().T
-    return 0.5 * (rho + rho.conj().T), log_z, populations
+    return 0.5 * (rho + rho.conj().T), float(log_z[0]), populations[0]
 
 
 def _expectation(rho: np.ndarray, h: np.ndarray) -> float:
@@ -96,28 +138,29 @@ def _expectation(rho: np.ndarray, h: np.ndarray) -> float:
 
 
 def gibbs_state(h, beta: float, dims: DimPair) -> ThermalState:
-    """Thermal equilibrium state of a joint Hamiltonian at inverse temperature beta."""
+    """Thermal equilibrium state of a joint Hamiltonian at inverse temperature beta.
+
+    The reduced states come from the eigenprojector blocks, as in
+    ``information.thermal_point``, so both give the same bits.
+    """
     beta = _check_beta(beta)
     a = as_operator(h)
     if a.shape[0] != dims.dim:
         raise OperatorError(
             f"Hamiltonian dimension {a.shape[0]} does not match {dims.d_a}x{dims.d_b}"
         )
-    return _thermal_state(eigh(a), a, beta, dims)
-
-
-def _thermal_state(dec: SpectralDecomposition, h, beta: float, dims: DimPair) -> ThermalState:
-    """ThermalState of ``h`` at a checked ``beta`` from its decomposition ``dec``."""
+    dec = eigh(a)
     rho, log_z, populations = _boltzmann(dec, beta)
+    block_a, block_b = _reduced_blocks(dec.eigenvectors, dims)
     return ThermalState(
         rho=rho,
         beta=beta,
         log_z=log_z,
         dims=dims,
         populations=populations,
-        rho_a=partial_trace(rho, dims, "A"),
-        rho_b=partial_trace(rho, dims, "B"),
-        energy=_expectation(rho, h),
+        rho_a=_reduced_states(populations[None], block_a)[0],
+        rho_b=_reduced_states(populations[None], block_b)[0],
+        energy=_expectation(rho, a),
     )
 
 

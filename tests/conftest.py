@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 
@@ -9,13 +10,16 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 @pytest.fixture
 def eigh_calls_by_dim(monkeypatch):
-    """Count np.linalg.eigh calls by input dimension for the rest of a test."""
+    """Count the matrices np.linalg.eigh decomposes, by dimension, for the rest of a test.
+
+    A stack of k n x n matrices counts k under n.
+    """
     calls_by_dim = {}
     real_eigh = np.linalg.eigh
 
     def counting_eigh(a, *args, **kwargs):
-        n = np.shape(a)[0]
-        calls_by_dim[n] = calls_by_dim.get(n, 0) + 1
+        shape = np.shape(a)
+        calls_by_dim[shape[-1]] = calls_by_dim.get(shape[-1], 0) + math.prod(shape[:-2])
         return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -257,6 +259,20 @@ def test_explore_violations_exit_5(monkeypatch, capsys):
     assert json.loads(out)["violations"] == 3
 
 
+def test_import_loads_no_heavy_dependency():
+    # a CLI point pays for every import at start-up
+    code = (
+        "import sys, thermomi, thermomi.cli; "
+        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60
+    ).stdout
+    assert out.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -291,6 +307,16 @@ def test_usage_errors_exit_2(capsys):
     for args in cases:
         assert main(args) == 2, args
         capsys.readouterr()
+
+
+def test_rejected_beta_is_printed_as_a_plain_float(capsys):
+    # the grid's last beta, 1 / 1e-320, overflows to inf
+    args = ["sweep-temperature", "--b1", "1", "--b2", "1", "--g", "1", "--min", "1e-320", "--max", "1"]
+    with np.errstate(over="ignore"):
+        code = main(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "thermomi: error: beta must be finite and >= 0, got inf\n"
 
 
 def test_numerical_validation_exits_3(capsys):

@@ -229,6 +229,35 @@ def test_eigh_phase_convention():
             assert abs(lead.imag) < 1e-12 and lead.real > 0
 
 
+def test_eigh_stack_matches_each_matrix_bitwise():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 4, 7, 16):
+        stack = np.array([random_hermitian(rng, n) for _ in range(6)])
+        stack[2] = np.diag(np.arange(n) % 2).astype(complex)  # degenerate
+        dec = eigh(stack)
+        assert dec.eigenvalues.shape == (6, n) and dec.eigenvectors.shape == (6, n, n)
+        for k in range(6):
+            one = eigh(stack[k])
+            assert np.array_equal(dec.eigenvalues[k], one.eigenvalues)
+            assert np.array_equal(dec.eigenvectors[k], one.eigenvectors)
+    nested = np.array([random_hermitian(rng, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
+    assert np.array_equal(eigh(nested).eigenvectors[1, 2], eigh(nested[1, 2]).eigenvectors)
+
+
+def test_eigh_stack_names_the_failing_matrix():
+    rng = np.random.default_rng(31)
+    stack = np.array([random_hermitian(rng, 4) for _ in range(5)])
+    stack[3, 0, 1] += 1e-3
+    with pytest.raises(HermiticityError, match=r"^stack index 3: hermiticity defect"):
+        eigh(stack)
+    stack[3] = random_hermitian(rng, 4)
+    stack[1, 2, 2] = np.inf
+    with pytest.raises(OperatorError, match=r"^stack index 1: matrix contains NaN or Inf"):
+        eigh(stack)
+    with pytest.raises(OperatorError, match=r"^expected a square matrix"):
+        eigh(np.zeros((3, 2, 4)))
+
+
 # ---------------------------------------------------------------------------
 # spectral_apply and the Taylor oracle
 # ---------------------------------------------------------------------------

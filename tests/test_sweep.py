@@ -130,6 +130,32 @@ def test_temperature_sweep_diagonalizes_its_hamiltonian_once(eigh_calls_by_dim):
     assert eigh_calls_by_dim[4] == 1
 
 
+@pytest.mark.parametrize("b1, b2, beta_inv", [(3.0, 1.0, 1.0), (0.5, -2.0, 0.3), (0.0, 0.0, 4.0)])
+def test_coupling_sweep_matches_pointwise_evaluation(b1, b2, beta_inv):
+    spec = coupling_spec(b1, b2, beta_inv=beta_inv, points=41)
+    pointwise = [
+        evaluate_xy_point(XYParams(b1, b2, float(g)), beta=1.0 / beta_inv, beta_inv=beta_inv)
+        for g in sweep_axis(spec)
+    ]
+    assert _records_csv(run_sweep(spec)) == _records_csv(pointwise)
+
+
+def test_coupling_sweep_decomposes_local_hamiltonians_once(monkeypatch):
+    shapes = []
+    real_eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    run_sweep(coupling_spec(3.0, 1.0, points=201))
+    # H_A and H_B alone; the 2x2 reduced states come as (201, 2, 2) stacks
+    assert shapes.count((2, 2)) == 2
+    assert shapes.count((201, 4, 4)) == 1
+    assert len(shapes) == 5
+
+
 # ---------------------------------------------------------------------------
 # fig1 suite
 # ---------------------------------------------------------------------------
@@ -208,6 +234,21 @@ def test_explore_worst_seed_replays():
         report, _ = thermal_point(bh, beta)
         gaps.append(report.upper_bound - report.mutual_info)
     assert min(gaps) == summary.gap_min
+
+
+@pytest.mark.parametrize("d_a, d_b, samples", [(8, 8, 6), (3, 5, 10)])
+def test_explore_gap_min_equals_pointwise_replay(d_a, d_b, samples):
+    betas = (0.1, 1.0, 10.0, 100.0)
+    summary = explore_bound(d_a, d_b, samples, betas, 1.0, seed=23)
+    for seed in range(23, 23 + samples):
+        bh = random_bipartite(d_a, d_b, 1.0, seed=seed)
+        gaps = []
+        for beta in betas:
+            report, _ = thermal_point(bh, beta)
+            gaps.append(report.upper_bound - report.mutual_info)
+        assert min(gaps) >= summary.gap_min
+        if seed == summary.worst_seed:
+            assert min(gaps) == summary.gap_min
 
 
 @pytest.mark.parametrize("samples", [1, 4])
