@@ -1,10 +1,10 @@
 """Thermal states of bipartite quantum systems: quantum mutual information
 and its interaction-energy upper bound.
 
-The library builds Gibbs states of finite-dimensional bipartite models,
-computes von Neumann and relative entropies, the mutual information
-I = S_A + S_B - S_AB, and the bound I <= -beta*E_int + ln(Z_A Z_B / Z_AB),
-plus sweeps over temperature and coupling for the two-spin XY model.
+The library evaluates thermal states of finite-dimensional bipartite
+models: von Neumann entropies, the mutual information I = S_A + S_B - S_AB,
+and the bound I <= -beta*E_int + ln(Z_A Z_B / Z_AB), plus sweeps over
+temperature and coupling for the two-spin XY model.
 
 Each module's ``__all__`` decides what it makes public; the package
 re-exports exactly those names. The CLI module is not imported here.

@@ -2,8 +2,9 @@
 and the random bound explorer.
 
 Exit codes: 0 success, 2 usage error (including any argument the library
-rejects), 3 numerical validation failure or a model too large to allocate,
-4 I/O failure, 5 bound violation found by the explorer.
+rejects), 3 numerical validation failure (including a result that is not
+finite) or a model too large to allocate, 4 I/O failure, 5 bound violation
+found by the explorer.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import os
 import re
 import sys
 from dataclasses import fields
+
+import numpy as np
 
 from .models import XYParams, xy_ground_state
 from .sweep import (
@@ -275,7 +278,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(parser, args)
+        # The library reports an overflow as an error of its own, so numpy's
+        # warnings would only add lines to stderr.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.handler(parser, args)
     except SystemExit as exc:
         if exc.code is None:
             return 0

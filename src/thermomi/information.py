@@ -1,9 +1,8 @@
-"""Entropic functionals and the interaction-energy bound on mutual information.
+"""Entropies and the interaction-energy bound on mutual information.
 
 Everything is in nats. The central quantities for a bipartite thermal state:
 
     S(rho)        = -Tr[rho ln rho]
-    S(rho||sigma) = Tr[rho ln rho - rho ln sigma]
     I             = S(rho_A) + S(rho_B) - S(rho_AB)
     I_ub          = -beta*E_int + ln(Z_A Z_B / Z_AB)
 
@@ -13,23 +12,14 @@ coupling vanishes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .models import BipartiteHamiltonian, _local_part
-from .operator_core import (
-    DimPair,
-    OperatorError,
-    _first_failure,
-    as_operator,
-    eigh,
-    partial_trace,
-)
+from .operator_core import OperatorError, _first_failure, as_operator, eigh
 from .thermal import (
     EnergyBreakdown,
-    ThermalState,
     _check_beta,
     _populations,
     _reduced_blocks,
@@ -41,10 +31,6 @@ __all__ = [
     "InvalidStateError",
     "InfoReport",
     "von_neumann_entropy",
-    "relative_entropy",
-    "entropy_identity_residual",
-    "mutual_information",
-    "mutual_info_upper_bound",
     "thermal_point",
 ]
 
@@ -54,8 +40,6 @@ EPS_WEIGHT = 1e-14
 # anything more negative is a logic bug and is rejected.
 _NEG_EIG_TOL = 1e-10
 _TRACE_TOL = 1e-10
-# Squared-overlap threshold for the support-containment test of S(rho||sigma).
-_SUPPORT_TOL = 1e-10
 
 
 class InvalidStateError(OperatorError):
@@ -78,9 +62,9 @@ class InfoReport:
     beta: float
 
 
-def _density_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
+def _density_spectrum(rho) -> np.ndarray:
     """Validate a density matrix, or each of a stack (..., d, d), and return
-    the (clipped) spectra and bases."""
+    its spectrum with roundoff negatives clipped to zero."""
     dec = eigh(rho)
     trace = np.trace(np.asarray(rho), axis1=-2, axis2=-1).real
     failed = np.abs(trace - 1.0) > _TRACE_TOL
@@ -94,7 +78,7 @@ def _density_spectrum(rho) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidStateError(
             f"{where}density matrix has eigenvalue {value!r} below the roundoff floor"
         )
-    return np.clip(dec.eigenvalues, 0.0, None), dec.eigenvectors
+    return np.clip(dec.eigenvalues, 0.0, None)
 
 
 def _entropy_from_spectrum(w: np.ndarray) -> np.ndarray:
@@ -109,58 +93,7 @@ def _entropy_from_spectrum(w: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr[rho ln rho] in nats; zero for pure states, ln d at most."""
-    w, _ = _density_spectrum(as_operator(rho))
-    return float(_entropy_from_spectrum(w))
-
-
-def relative_entropy(rho, sigma) -> float:
-    """S(rho||sigma) = Tr[rho ln rho - rho ln sigma], or +inf on support escape.
-
-    Returns ``math.inf`` when an eigenvector of ``rho`` with weight above
-    ``EPS_WEIGHT`` leaks more than 1e-10 squared overlap into the null space
-    of ``sigma``; the value is then genuinely infinite, not an error.
-    """
-    if as_operator(rho).shape != as_operator(sigma).shape:
-        raise OperatorError("relative entropy requires states of equal dimension")
-    w_r, v_r = _density_spectrum(rho)
-    w_s, v_s = _density_spectrum(sigma)
-
-    # overlap[j, i] = |<sigma_j|rho_i>|^2
-    overlap = np.abs(v_s.conj().T @ v_r) ** 2
-    null_s = w_s <= EPS_WEIGHT
-    supported_r = w_r > EPS_WEIGHT
-    if null_s.any() and supported_r.any():
-        leakage = overlap[null_s][:, supported_r].sum(axis=0)
-        if float(leakage.max()) > _SUPPORT_TOL:
-            return math.inf
-
-    w_sup = w_r[supported_r]
-    tr_rho_ln_rho = float((w_sup * np.log(w_sup)).sum())
-    keep_s = ~null_s
-    weights_on_sigma_basis = overlap[keep_s] @ w_r
-    tr_rho_ln_sigma = float((weights_on_sigma_basis * np.log(w_s[keep_s])).sum())
-    return tr_rho_ln_rho - tr_rho_ln_sigma
-
-
-def entropy_identity_residual(ts: ThermalState, eb: EnergyBreakdown) -> float:
-    """S(rho_AB) - beta*E - ln Z_AB; identically zero for a Gibbs state."""
-    return von_neumann_entropy(ts.rho) - ts.beta * eb.e_total - ts.log_z
-
-
-def mutual_information(state, dims: DimPair | None = None) -> float:
-    """I = S(rho_A) + S(rho_B) - S(rho_AB) for a bipartite density matrix.
-
-    Accepts a ThermalState, or any density matrix together with its ``dims``.
-    """
-    if isinstance(state, ThermalState):
-        s_ab = _entropy_from_spectrum(state.populations)
-        return float(von_neumann_entropy(state.rho_a) + von_neumann_entropy(state.rho_b) - s_ab)
-    if dims is None:
-        raise OperatorError("dims is required when passing a bare density matrix")
-    rho = as_operator(state)
-    rho_a = partial_trace(rho, dims, "A")
-    rho_b = partial_trace(rho, dims, "B")
-    return von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - von_neumann_entropy(rho)
+    return float(_entropy_from_spectrum(_density_spectrum(as_operator(rho))))
 
 
 def _joint_spectra(bh: BipartiteHamiltonian, couplings) -> tuple[np.ndarray, ...]:
@@ -197,25 +130,33 @@ def _thermal_points(bh: BipartiteHamiltonian, betas, couplings=1.0) -> dict[str,
     Each point then costs O(n^2) arithmetic on those spectra plus its share of
     one stacked eigh of the reduced states; no joint rho is formed. Every
     reduction over points runs along the last axis, so a point's bits do not
-    depend on how many points share the call.
+    depend on how many points share the call. A non-finite result, such as
+    ln Z overflowing at an extreme beta, raises ``OperatorError`` naming the
+    quantity and the beta.
     """
     betas = np.array([_check_beta(beta) for beta in betas], dtype=np.float64)
-    energies, block_a, block_b, levels = _joint_spectra(bh, couplings)
-    dec_a, dec_b = eigh(bh.h_a), eigh(bh.h_b)
+    # An overflow surfaces as a non-finite column, reported below with its
+    # quantity and beta; numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        energies, block_a, block_b, levels = _joint_spectra(bh, couplings)
+        dec_a, dec_b = eigh(bh.h_a), eigh(bh.h_b)
 
-    populations, log_z_ab = _populations(energies, betas)
-    log_z_a = _populations(dec_a.eigenvalues, betas)[1]
-    log_z_b = _populations(dec_b.eigenvalues, betas)[1]
-    e_total, e_a, e_b, e_int = np.moveaxis((populations[:, None, :] * levels).sum(axis=-1), -1, 0)
-    s_a = _entropy_from_spectrum(_density_spectrum(_reduced_states(populations, block_a))[0])
-    s_b = _entropy_from_spectrum(_density_spectrum(_reduced_states(populations, block_b))[0])
-    s_ab = _entropy_from_spectrum(populations)
+        populations, log_z_ab = _populations(energies, betas)
+        log_z_a = _populations(dec_a.eigenvalues, betas)[1]
+        log_z_b = _populations(dec_b.eigenvalues, betas)[1]
+        e_total, e_a, e_b, e_int = np.moveaxis(
+            (populations[:, None, :] * levels).sum(axis=-1), -1, 0
+        )
+        s_a = _entropy_from_spectrum(_density_spectrum(_reduced_states(populations, block_a)))
+        s_b = _entropy_from_spectrum(_density_spectrum(_reduced_states(populations, block_b)))
+        s_ab = _entropy_from_spectrum(populations)
+        upper_bound = -betas * e_int + log_z_a + log_z_b - log_z_ab
     columns = {
         "s_a": s_a,
         "s_b": s_b,
         "s_ab": s_ab,
         "mutual_info": s_a + s_b - s_ab,
-        "upper_bound": -betas * e_int + log_z_a + log_z_b - log_z_ab,
+        "upper_bound": upper_bound,
         "log_z_a": log_z_a,
         "log_z_b": log_z_b,
         "log_z_ab": log_z_ab,
@@ -226,7 +167,15 @@ def _thermal_points(bh: BipartiteHamiltonian, betas, couplings=1.0) -> dict[str,
         "e_b": e_b,
     }
     points = len(populations)
-    return {name: np.broadcast_to(column, (points,)) for name, column in columns.items()}
+    columns = {name: np.broadcast_to(column, (points,)) for name, column in columns.items()}
+    finite = np.isfinite(list(columns.values()))
+    if not finite.all():
+        k, i = np.unravel_index(np.argmin(finite), finite.shape)
+        name = list(columns)[k]
+        raise OperatorError(
+            f"{name} is {float(columns[name][i])!r} at beta {float(columns['beta'][i])!r}"
+        )
+    return columns
 
 
 def thermal_point(bh: BipartiteHamiltonian, beta: float) -> tuple[InfoReport, EnergyBreakdown]:
@@ -244,8 +193,3 @@ def thermal_point(bh: BipartiteHamiltonian, beta: float) -> tuple[InfoReport, En
         InfoReport(**{f.name: point[f.name] for f in fields(InfoReport)}),
         EnergyBreakdown(**{f.name: point[f.name] for f in fields(EnergyBreakdown)}),
     )
-
-
-def mutual_info_upper_bound(bh: BipartiteHamiltonian, beta: float) -> float:
-    """Upper bound on the thermal mutual information of a bipartite model."""
-    return thermal_point(bh, beta)[0].upper_bound

@@ -19,6 +19,7 @@ from .operator_core import (
     SpectralDecomposition,
     as_operator,
     eigh,
+    partial_trace,
 )
 
 __all__ = [
@@ -34,17 +35,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Joint Gibbs state exp(-beta H)/Z and everything read off its one eigh.
+    """Joint Gibbs state exp(-beta H)/Z as an explicit density matrix.
 
-    ``populations`` is the spectrum of ``rho`` (ascending energy order),
-    ``rho_a`` and ``rho_b`` are its reduced states and ``energy`` is Tr[rho H].
+    ``rho_a`` and ``rho_b`` are its partial traces and ``energy`` is Tr[rho H].
     """
 
     rho: np.ndarray
     beta: float
     log_z: float
     dims: DimPair
-    populations: np.ndarray
     rho_a: np.ndarray
     rho_b: np.ndarray
     energy: float
@@ -126,11 +125,11 @@ def _reduced_states(populations: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=-2)
 
 
-def _boltzmann(dec: SpectralDecomposition, beta: float) -> tuple[np.ndarray, float, np.ndarray]:
-    """Gibbs density matrix, ln Z and the populations from a spectral decomposition."""
+def _boltzmann(dec: SpectralDecomposition, beta: float) -> tuple[np.ndarray, float]:
+    """Gibbs density matrix and ln Z from a spectral decomposition."""
     populations, log_z = _populations(dec.eigenvalues, np.array([beta]))
     rho = (dec.eigenvectors * populations) @ dec.eigenvectors.conj().T
-    return 0.5 * (rho + rho.conj().T), float(log_z[0]), populations[0]
+    return 0.5 * (rho + rho.conj().T), float(log_z[0])
 
 
 def _expectation(rho: np.ndarray, h: np.ndarray) -> float:
@@ -140,8 +139,10 @@ def _expectation(rho: np.ndarray, h: np.ndarray) -> float:
 def gibbs_state(h, beta: float, dims: DimPair) -> ThermalState:
     """Thermal equilibrium state of a joint Hamiltonian at inverse temperature beta.
 
-    The reduced states come from the eigenprojector blocks, as in
-    ``information.thermal_point``, so both give the same bits.
+    The explicit-rho reference for ``information.thermal_point``: rho is
+    assembled from the eigenbasis of H and the reduced states are its partial
+    traces, so beyond ``eigh`` and the Gibbs weights it shares no code with
+    the spectral kernel.
     """
     beta = _check_beta(beta)
     a = as_operator(h)
@@ -149,17 +150,14 @@ def gibbs_state(h, beta: float, dims: DimPair) -> ThermalState:
         raise OperatorError(
             f"Hamiltonian dimension {a.shape[0]} does not match {dims.d_a}x{dims.d_b}"
         )
-    dec = eigh(a)
-    rho, log_z, populations = _boltzmann(dec, beta)
-    block_a, block_b = _reduced_blocks(dec.eigenvectors, dims)
+    rho, log_z = _boltzmann(eigh(a), beta)
     return ThermalState(
         rho=rho,
         beta=beta,
         log_z=log_z,
         dims=dims,
-        populations=populations,
-        rho_a=_reduced_states(populations[None], block_a)[0],
-        rho_b=_reduced_states(populations[None], block_b)[0],
+        rho_a=partial_trace(rho, dims, "A"),
+        rho_b=partial_trace(rho, dims, "B"),
         energy=_expectation(rho, a),
     )
 
@@ -167,7 +165,7 @@ def gibbs_state(h, beta: float, dims: DimPair) -> ThermalState:
 def local_gibbs_state(h_local, beta: float) -> LocalGibbsState:
     """Gibbs state of a subsystem Hamiltonian alone."""
     beta = _check_beta(beta)
-    rho, log_z, _ = _boltzmann(eigh(h_local), beta)
+    rho, log_z = _boltzmann(eigh(h_local), beta)
     return LocalGibbsState(rho_tilde=rho, log_z_local=log_z)
 
 

@@ -1,10 +1,10 @@
 """Independent oracles for the test suite.
 
-Everything here is written from closed forms or explicit index loops and
-never calls into the library's linear-algebra paths, so agreement between
-the two is a genuine cross-check. The one exception is ``spectral_apply``:
-it calls ``thermomi.eigh`` on purpose, because it is the spectral route
-that ``oracle_expm_taylor`` checks.
+Everything here is written from closed forms, explicit index loops or
+numpy's own eigensolver and never calls into the library's linear-algebra
+paths, so agreement between the two is a genuine cross-check. The one
+exception is ``spectral_apply``: it calls ``thermomi.eigh`` on purpose,
+because it is the spectral route that ``oracle_expm_taylor`` checks.
 """
 
 import math
@@ -15,6 +15,10 @@ from thermomi import OperatorError, eigh, frobenius_norm, require_hermitian
 
 # Series truncation for the matrix-exponential oracle (relative to partial sum).
 TAYLOR_CUTOFF = 1e-16
+# Eigenvalues of sigma at or below this span its null space in S(rho||sigma).
+NULL_EIGENVALUE = 1e-14
+# Weight of rho on that null space above which S(rho||sigma) is infinite.
+SUPPORT_LEAK = 1e-10
 
 
 class SpectralDomainError(OperatorError):
@@ -66,6 +70,38 @@ def random_density(rng, d):
 
 def _xlnx(p):
     return p * math.log(p) if p > 0 else 0.0
+
+
+def entropy(rho):
+    """S(rho) = -Tr[rho ln rho] from numpy's eigenvalues; roundoff negatives add 0."""
+    return -sum(_xlnx(p) for p in np.linalg.eigvalsh(rho))
+
+
+def mutual_information(rho, d_a, d_b):
+    """I = S(rho_A) + S(rho_B) - S(rho) with the brute-force partial traces."""
+    return (
+        entropy(brute_partial_trace(rho, d_a, d_b, "A"))
+        + entropy(brute_partial_trace(rho, d_a, d_b, "B"))
+        - entropy(rho)
+    )
+
+
+def relative_entropy(rho, sigma):
+    """S(rho||sigma) = Tr[rho ln rho] - Tr[rho ln sigma], or +inf on support escape.
+
+    Tr[rho ln sigma] is summed in the eigenbasis of sigma, over the weights
+    <s_j|rho|s_j>; a weight above ``SUPPORT_LEAK`` on an eigenvector with
+    eigenvalue at or below ``NULL_EIGENVALUE`` makes the value infinite.
+    """
+    if np.shape(rho) != np.shape(sigma):
+        raise ValueError("relative entropy requires states of equal dimension")
+    s, v = np.linalg.eigh(sigma)
+    weights = np.einsum("ij,ik,kj->j", v.conj(), rho, v).real
+    null = s <= NULL_EIGENVALUE
+    if (weights[null] > SUPPORT_LEAK).any():
+        return math.inf
+    tr_rho_ln_sigma = sum(w * math.log(lam) for w, lam in zip(weights[~null], s[~null]))
+    return -entropy(rho) - tr_rho_ln_sigma
 
 
 def xy_closed_form(b1, b2, g, beta):

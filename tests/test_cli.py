@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from thermomi.cli import CSV_HEADER, main
@@ -312,8 +311,7 @@ def test_usage_errors_exit_2(capsys):
 def test_rejected_beta_is_printed_as_a_plain_float(capsys):
     # the grid's last beta, 1 / 1e-320, overflows to inf
     args = ["sweep-temperature", "--b1", "1", "--b2", "1", "--g", "1", "--min", "1e-320", "--max", "1"]
-    with np.errstate(over="ignore"):
-        code = main(args)
+    code = main(args)
     err = capsys.readouterr().err
     assert code == 2
     assert err == "thermomi: error: beta must be finite and >= 0, got inf\n"
@@ -321,10 +319,28 @@ def test_rejected_beta_is_printed_as_a_plain_float(capsys):
 
 def test_numerical_validation_exits_3(capsys):
     # fields this large overflow the assembled Hamiltonian to Inf entries
-    with np.errstate(over="ignore"):
-        code = main(["point", "--b1", "1e308", "--b2", "1e308", "--g", "1", "--beta", "1"])
-    capsys.readouterr()
+    code = main(["point", "--b1", "1e308", "--b2", "1e308", "--g", "1", "--beta", "1"])
+    err = capsys.readouterr().err
     assert code == 3
+    assert err == "numerical validation error: matrix contains NaN or Inf entries\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["point", "--b1", "1", "--b2", "1", "--g", "1", "--beta", "1e308"],
+        ["explore", "--dims", "2x2", "--samples", "3", "--beta-list", "1,1e308"],
+        ["sweep-temperature", "--b1", "1", "--b2", "1", "--g", "1",
+         "--min", "1e-308", "--max", "1", "--points", "2"],
+    ],
+)
+def test_non_finite_result_exits_3(args, capsys):
+    # at beta = 1e308 ln Z overflows, so the bound would come out NaN
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "numerical validation error: upper_bound is nan at beta 1e+308\n"
 
 
 def test_allocation_failure_exits_3(monkeypatch, capsys):

@@ -10,17 +10,16 @@ from thermomi import (
     assemble_bipartite,
     frobenius_norm,
     kron,
-    mutual_info_upper_bound,
-    mutual_information,
     gibbs_state,
     partial_trace,
     random_bipartite,
+    thermal_point,
     xy_ground_state,
     xy_hamiltonian,
 )
 from thermomi.models import PAULI_Z, BipartiteHamiltonian
 
-from oracles import random_hermitian, xy_spectrum
+from oracles import mutual_information, random_hermitian, xy_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +219,8 @@ def test_random_bipartite_deterministic():
 def test_random_bipartite_zero_scale_has_zero_information():
     bh = random_bipartite(2, 2, 0.0, seed=9)
     ts = gibbs_state(assemble_bipartite(bh), 1.0, bh.dims)
-    assert abs(mutual_information(ts)) <= 1e-10
-    assert abs(mutual_info_upper_bound(bh, 1.0)) <= 1e-10
+    assert abs(mutual_information(ts.rho, 2, 2)) <= 1e-10
+    assert abs(thermal_point(bh, 1.0)[0].upper_bound) <= 1e-10
 
 
 def test_random_bipartite_blocks_are_hermitian():

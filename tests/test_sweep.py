@@ -5,6 +5,7 @@ import pytest
 
 import thermomi.sweep
 from thermomi import (
+    OperatorError,
     Spacing,
     SweepMode,
     SweepSpec,
@@ -249,6 +250,12 @@ def test_explore_gap_min_equals_pointwise_replay(d_a, d_b, samples):
         assert min(gaps) >= summary.gap_min
         if seed == summary.worst_seed:
             assert min(gaps) == summary.gap_min
+
+
+def test_explore_rejects_a_non_finite_gap():
+    # ln Z overflows at beta = 1e308; a NaN gap would count as no violation
+    with pytest.raises(OperatorError, match="upper_bound is nan at beta 1e\\+308"):
+        explore_bound(2, 2, 3, (1.0, 1e308), 1.0, seed=0)
 
 
 @pytest.mark.parametrize("samples", [1, 4])
