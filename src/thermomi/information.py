@@ -121,7 +121,7 @@ def _joint_spectra(bh: BipartiteHamiltonian, couplings) -> tuple[np.ndarray, ...
 
 
 def _thermal_points(bh: BipartiteHamiltonian, betas, couplings=1.0) -> dict[str, np.ndarray]:
-    """Every quantity of ``thermal_point`` at many points, as columns of shape (m,).
+    """Every quantity of ``thermal_point``, and ``gap``, at many points as columns (m,).
 
     Point i is the model with its coupling H_int scaled by ``couplings[i]``,
     at inverse temperature ``betas[i]``; a scalar coupling, or a single beta,
@@ -130,8 +130,9 @@ def _thermal_points(bh: BipartiteHamiltonian, betas, couplings=1.0) -> dict[str,
     Each point then costs O(n^2) arithmetic on those spectra plus its share of
     one stacked eigh of the reduced states; no joint rho is formed. Every
     reduction over points runs along the last axis, so a point's bits do not
-    depend on how many points share the call. A non-finite result, such as
-    ln Z overflowing at an extreme beta, raises ``OperatorError`` naming the
+    depend on how many points share the call. ``gap`` is ``upper_bound -
+    mutual_info``, computed here only. A non-finite result, such as ln Z
+    overflowing at an extreme beta, raises ``OperatorError`` naming the
     quantity and the beta.
     """
     betas = np.array([_check_beta(beta) for beta in betas], dtype=np.float64)
@@ -150,12 +151,14 @@ def _thermal_points(bh: BipartiteHamiltonian, betas, couplings=1.0) -> dict[str,
         s_a = _entropy_from_spectrum(_density_spectrum(_reduced_states(populations, block_a)))
         s_b = _entropy_from_spectrum(_density_spectrum(_reduced_states(populations, block_b)))
         s_ab = _entropy_from_spectrum(populations)
+        mutual_info = s_a + s_b - s_ab
         upper_bound = -betas * e_int + log_z_a + log_z_b - log_z_ab
+        gap = upper_bound - mutual_info
     columns = {
         "s_a": s_a,
         "s_b": s_b,
         "s_ab": s_ab,
-        "mutual_info": s_a + s_b - s_ab,
+        "mutual_info": mutual_info,
         "upper_bound": upper_bound,
         "log_z_a": log_z_a,
         "log_z_b": log_z_b,
@@ -165,6 +168,7 @@ def _thermal_points(bh: BipartiteHamiltonian, betas, couplings=1.0) -> dict[str,
         "e_total": e_total,
         "e_a": e_a,
         "e_b": e_b,
+        "gap": gap,
     }
     points = len(populations)
     columns = {name: np.broadcast_to(column, (points,)) for name, column in columns.items()}

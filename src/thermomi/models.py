@@ -15,7 +15,6 @@ import numpy as np
 from .operator_core import (
     DimPair,
     OperatorError,
-    as_operator,
     eigh,
     kron,
     require_hermitian,
@@ -45,6 +44,9 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 BOUNDARY_BAND = 1e-12
 # Spectral gap below which the minimum eigenvalue counts as degenerate.
 _GROUND_GAP_TOL = 1e-12
+# A unit vector of dimension n < 1e16 has an amplitude >= 1/sqrt(n) > 1e-8, so this
+# cutoff always finds the leading entry whose phase is fixed.
+_PHASE_CUTOFF = 1e-8
 # The XY coupling sx(x)sx + sy(x)sy at g = 1, built once.
 _XX_YY = kron(PAULI_X, PAULI_X) + kron(PAULI_Y, PAULI_Y)
 
@@ -104,7 +106,7 @@ class GroundStateClass(Enum):
 class GroundStateInfo:
     """Numerically computed ground state of the two-spin XY model.
 
-    ``state_vector`` is unit norm with its first significant amplitude made
+    ``state_vector`` is unit norm with its first amplitude above 1e-8 made
     real positive. ``normalization`` rescales the zero-magnetization form
     (a|ud> - |du>): it equals 1/|<du|psi>| when the ground state is entangled
     with a nonzero |du> amplitude, and 1.0 otherwise (a normalized basis
@@ -151,7 +153,9 @@ def xy_ground_state(p: XYParams) -> GroundStateInfo:
     """
     dec = eigh(assemble_bipartite(xy_hamiltonian(p)))
     energy = float(dec.eigenvalues[0])
-    vec = dec.eigenvectors[:, 0].copy()
+    vec = dec.eigenvectors[:, 0]
+    lead = vec[np.argmax(np.abs(vec) > _PHASE_CUTOFF)]
+    vec = vec * (lead.conj() / np.abs(lead))
     gap = float(dec.eigenvalues[1] - dec.eigenvalues[0])
 
     margin = p.b1 * p.b2 - p.g * p.g
@@ -194,7 +198,7 @@ def random_bipartite(
 
     def draw(d: int) -> np.ndarray:
         g = rng.standard_normal((d, d)) + 1.0j * rng.standard_normal((d, d))
-        return as_operator(0.5 * (g + g.conj().T))
+        return 0.5 * (g + g.conj().T)
 
     h_a = draw(d_a)
     h_b = draw(d_b)

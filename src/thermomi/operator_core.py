@@ -4,12 +4,16 @@ Operators are dense square ``complex128`` arrays; ``eigh`` also takes a
 stack (..., n, n) of them and checks each one. Every function treats its
 arguments as immutable values and returns fresh arrays, so the whole module
 is safe for concurrent use. Operator equality is always judged by
-Frobenius-norm distance, never by entrywise identity.
+Frobenius-norm distance, never by entrywise identity, taken after an exact
+power-of-two scaling so that no check is lost to overflow. Eigenvectors
+keep LAPACK's phases; every quantity built from them is phase-free.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -33,10 +37,6 @@ __all__ = [
 EPS_HERM = 1e-12
 # Orthonormality and reconstruction bound for eigendecompositions.
 EIG_RESIDUAL_TOL = 1e-10
-
-# A unit column of dimension n has a component of magnitude >= 1/sqrt(n),
-# so for any n below 1e16 this cutoff finds the leading entry used to fix phases.
-_PHASE_CUTOFF = 1e-8
 
 
 class OperatorError(ValueError):
@@ -72,9 +72,8 @@ class DimPair:
 class SpectralDecomposition:
     """Eigensystem of a Hermitian operator, or of each operator of a stack.
 
-    ``eigenvalues`` is real and ascending along its last axis; column ``k``
-    of ``eigenvectors`` is the (unit, phase-fixed) eigenvector paired with
-    ``eigenvalues[..., k]``.
+    ``eigenvalues`` is real and ascending along its last axis; column ``k`` of
+    ``eigenvectors`` is the unit eigenvector of ``eigenvalues[..., k]``, in LAPACK's phase.
     """
 
     eigenvalues: np.ndarray
@@ -100,6 +99,12 @@ def _norms(m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(m, axis=(-2, -1))
 
 
+def _magnitude(scaled: float, unit: float) -> str:
+    """``scaled / unit``, for a power of two ``unit``, as ``.3e`` even past the largest float."""
+    real = scaled / unit
+    return f"{Decimal(scaled) / Decimal(unit) if math.isinf(real) else real:.3e}"
+
+
 def _as_matrices(m) -> np.ndarray:
     """Validate ``m`` as a stack (..., n, n) of square finite matrices, as complex128."""
     a = np.asarray(m, dtype=np.complex128)
@@ -112,18 +117,26 @@ def _as_matrices(m) -> np.ndarray:
     return a
 
 
-def _require_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
-    """Check each matrix of the validated stack ``a`` against its own norm."""
-    defect = _norms(a - np.swapaxes(a, -2, -1).conj())
-    norm = _norms(a)
-    failed = defect > tol * np.maximum(1.0, norm)
+def _require_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check each matrix of the validated stack ``a`` against its own norm.
+
+    Norms are taken of each matrix times ``unit`` = 2^-k, where k >= 0 is the
+    exponent of its largest entry: exact, and free of overflow. Returns the
+    scaled stack, ``unit`` and the scaled norms.
+    """
+    largest = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1), initial=0.0)
+    unit = np.ldexp(1.0, -np.maximum(np.frexp(largest)[1], 0))
+    scaled = a * unit[..., None, None]
+    defect = _norms(scaled - np.swapaxes(scaled, -2, -1).conj())
+    norm = _norms(scaled)
+    failed = defect > EPS_HERM * np.maximum(unit, norm)
     if failed.any():
-        where, worst, size = _first_failure(failed, defect, norm)
+        where, worst, size, scale = _first_failure(failed, defect, norm, unit)
         raise HermiticityError(
-            f"{where}hermiticity defect {worst:.3e} exceeds tolerance for a matrix "
-            f"of norm {size:.3e}"
+            f"{where}hermiticity defect {_magnitude(worst, scale)} exceeds tolerance for a "
+            f"matrix of norm {_magnitude(size, scale)}"
         )
-    return a
+    return scaled, unit, norm
 
 
 def as_operator(m) -> np.ndarray:
@@ -139,13 +152,15 @@ def frobenius_norm(m) -> float:
     return float(np.linalg.norm(m))
 
 
-def require_hermitian(m, tol: float = EPS_HERM) -> np.ndarray:
-    """Validate ``m`` as Hermitian within ``tol`` (relative) and return it.
+def require_hermitian(m) -> np.ndarray:
+    """Validate ``m`` as Hermitian within ``EPS_HERM`` (relative) and return it.
 
     Inputs that fail are rejected rather than symmetrized: a non-Hermitian
     matrix at this boundary is a caller bug that must surface.
     """
-    return _require_hermitian(as_operator(m), tol)
+    a = as_operator(m)
+    _require_hermitian(a)
+    return a
 
 
 def kron(a, b) -> np.ndarray:
@@ -179,43 +194,37 @@ def partial_trace(m, dims: DimPair, keep: str) -> np.ndarray:
     raise OperatorError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant component is real positive."""
-    first = np.argmax(np.abs(v) > _PHASE_CUTOFF, axis=-2)
-    lead = np.take_along_axis(v, first[..., None, :], axis=-2)
-    return v * (lead.conj() / np.abs(lead))
-
-
 def eigh(h) -> SpectralDecomposition:
     """Hermitian eigendecomposition with ascending eigenvalues.
 
     ``h`` is one matrix or a stack (..., n, n). A stack is decomposed by one
     LAPACK call, and entry k of the result is bitwise the decomposition of
-    ``h[k]``. Output is deterministic for identical input: eigenvector phases
-    are fixed so the first significant component of each column is real
-    positive. Each matrix is checked for finiteness and Hermiticity before,
-    and against its residual and orthonormality bounds after; an error names
-    the stack index of the first matrix that fails.
+    ``h[k]``. Output is deterministic for identical input, with LAPACK's
+    eigenvector phases. Each matrix is checked for finiteness and Hermiticity
+    before, and against its residual and orthonormality bounds after, with its
+    norm taken once; an error names the stack index of the first matrix that fails.
     """
-    a = _require_hermitian(_as_matrices(h), EPS_HERM)
+    a = _as_matrices(h)
+    scaled, unit, norm = _require_hermitian(a)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        # LAPACK fails a stack as a whole: name the stack and its largest norm.
+        # LAPACK fails a stack as a whole, so the error names the stack.
         where = "" if a.ndim == 2 else f"stack of shape {a.shape[:-2]}: "
         raise EigensolverError(
-            f"{where}eigendecomposition did not converge for a dim-{a.shape[-1]} matrix "
-            f"of norm {float(_norms(a).max()):.3e}: {exc}"
+            f"{where}eigendecomposition did not converge for a dim-{a.shape[-1]} matrix: {exc}"
         ) from exc
-    v = _fix_phases(v.astype(np.complex128))
-    w = w.astype(np.float64)
 
+    # Eigenvalues are scaled like the matrix; one past the float range fails as a NaN residual.
     v_dagger = np.swapaxes(v, -2, -1).conj()
-    residual = _norms(a - (v * w[..., None, :]) @ v_dagger)
-    failed = residual > EIG_RESIDUAL_TOL * np.maximum(1.0, _norms(a))
+    with np.errstate(invalid="ignore"):
+        residual = _norms(scaled - (v * (w * unit[..., None])[..., None, :]) @ v_dagger)
+    failed = ~(residual <= EIG_RESIDUAL_TOL * np.maximum(unit, norm))
     if failed.any():
-        where, worst = _first_failure(failed, residual)
-        raise EigensolverError(f"{where}reconstruction residual {worst:.3e} violates contract")
+        where, worst, scale = _first_failure(failed, residual, unit)
+        raise EigensolverError(
+            f"{where}reconstruction residual {_magnitude(worst, scale)} violates contract"
+        )
     ortho = _norms(v_dagger @ v - np.eye(a.shape[-1]))
     failed = ortho > EIG_RESIDUAL_TOL
     if failed.any():

@@ -150,12 +150,7 @@ def _records(params: XYParams, beta_inv, g, columns) -> list[SweepRecord]:
     """
     points = len(columns["beta"])
     values = dict(
-        columns,
-        beta_inv=np.asarray(beta_inv, dtype=np.float64),
-        g=g,
-        b1=params.b1,
-        b2=params.b2,
-        gap=columns["upper_bound"] - columns["mutual_info"],
+        columns, beta_inv=np.asarray(beta_inv, dtype=np.float64), g=g, b1=params.b1, b2=params.b2
     )
     rows = zip(*(np.broadcast_to(values[name], (points,)).tolist() for name in _RECORD_FIELDS))
     return [SweepRecord(*row) for row in rows]
@@ -250,7 +245,7 @@ def explore_bound(
     mi_values: list[float] = []
     for k in range(samples):
         columns = _thermal_points(random_bipartite(d_a, d_b, interaction_scale, seed + k), betas)
-        gaps.extend((columns["upper_bound"] - columns["mutual_info"]).tolist())
+        gaps.extend(columns["gap"].tolist())
         mi_values.extend(columns["mutual_info"].tolist())
     gap_min = min(gaps)
     return ExploreSummary(

@@ -178,6 +178,21 @@ def test_ground_state_boundary():
     assert info.classification is GroundStateClass.BOUNDARY
 
 
+def test_ground_state_phase_convention():
+    for params in (
+        XYParams(0.5, 0.5, 1.0),  # entangled
+        XYParams(0.3, 1.2, 2.0),  # entangled, unequal fields
+        XYParams(3.0, 1.0, 1.0),  # separable
+        XYParams(1.0, 1.0, 1.0),  # boundary
+        XYParams(-0.5, 0.5, 1.0),  # negative field
+        XYParams(-2.0, -1.5, 0.7),  # both fields negative
+        XYParams(0.0, 0.0, 0.0),  # all zero
+    ):
+        vec = xy_ground_state(params).state_vector
+        lead = vec[np.flatnonzero(np.abs(vec) > 1e-8)[0]]
+        assert abs(lead.imag) < 1e-12 and lead.real > 0, params
+
+
 def test_classification_matches_brute_force_entanglement_check():
     # 50x50 grid over (b1*b2, g) away from the boundary band: the threshold
     # label must agree with the smallest reduced eigenvalue of the computed

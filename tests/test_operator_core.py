@@ -5,6 +5,7 @@ import pytest
 
 from thermomi import (
     DimPair,
+    EigensolverError,
     HermiticityError,
     OperatorError,
     eigh,
@@ -219,16 +220,6 @@ def test_eigh_deterministic():
         assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
 
 
-def test_eigh_phase_convention():
-    rng = np.random.default_rng(23)
-    for h in (random_hermitian(rng, 6), random_hermitian(rng, 256), DEGENERATE_DIAGONAL):
-        dec = eigh(h)
-        for k in range(h.shape[0]):
-            col = dec.eigenvectors[:, k]
-            lead = col[np.flatnonzero(np.abs(col) > 1e-8)[0]]
-            assert abs(lead.imag) < 1e-12 and lead.real > 0
-
-
 def test_eigh_stack_matches_each_matrix_bitwise():
     rng = np.random.default_rng(29)
     for n in (1, 2, 4, 7, 16):
@@ -256,6 +247,42 @@ def test_eigh_stack_names_the_failing_matrix():
         eigh(stack)
     with pytest.raises(OperatorError, match=r"^expected a square matrix"):
         eigh(np.zeros((3, 2, 4)))
+
+
+def test_overflowing_norm_keeps_the_hermiticity_check():
+    # entries past about 1e154 overflow a plain Frobenius norm
+    lopsided = np.array([[0.0, 1e200], [0.0, 0.0]], dtype=complex)
+    message = r"hermiticity defect 1\.414e\+200 exceeds tolerance for a matrix of norm 1\.000e\+200$"
+    for check in (require_hermitian, eigh):
+        with pytest.raises(HermiticityError, match="^" + message):
+            check(lopsided)
+    with pytest.raises(HermiticityError, match=r"^stack index 1: " + message):
+        eigh(np.array([PAULI_X, lopsided, PAULI_Z]))
+    huge = 1e308 * PAULI_Z
+    assert np.array_equal(require_hermitian(huge), huge)
+    assert np.array_equal(eigh(huge).eigenvalues, [-1e308, 1e308])
+    rng = np.random.default_rng(43)
+    eigh(np.array([1e300 * random_hermitian(rng, 5) for _ in range(3)]))
+
+
+def test_overflowing_norm_keeps_the_residual_check(monkeypatch):
+    # an eigenvalue past the largest float has no decomposition to return; the
+    # zero entries of its eigenvector meet it as 0 * inf
+    block = np.zeros((3, 3), dtype=complex)
+    block[:2, :2] = 1.7e308
+    with pytest.raises(EigensolverError, match=r"^reconstruction residual nan"):
+        eigh(block)
+    real_eigh = np.linalg.eigh
+
+    def doubled_eigenvalues(a):
+        w, v = real_eigh(a)
+        return 2.0 * w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", doubled_eigenvalues)
+    with pytest.raises(
+        EigensolverError, match=r"^reconstruction residual 2\.236e\+200 violates contract$"
+    ):
+        eigh(1e200 * np.diag([1.0, 2.0]).astype(complex))
 
 
 # ---------------------------------------------------------------------------
