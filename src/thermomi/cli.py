@@ -40,6 +40,11 @@ __all__ = ["CSV_HEADER", "main"]
 _CSV_FIELDS = [f.name for f in fields(SweepRecord)]
 CSV_HEADER = ",".join(_CSV_FIELDS)
 
+# Library parameters set by a flag of another name; a rejected argument's
+# message names the flag that was typed.
+_FLAGS = {"axis_min": "--min", "axis_max": "--max", "interaction_scale": "--scale", "seed": "--seed"}
+_PARAMETER = re.compile(r"\b(" + "|".join(_FLAGS) + r")\b")
+
 
 def _fmt(x: float) -> str:
     """15 significant digits; the serialization contract for every number."""
@@ -283,7 +288,8 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         # The library raises plain ValueError for a bad argument, before any work.
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        message = _PARAMETER.sub(lambda match: _FLAGS[match[0]], str(exc))
+        print(f"{parser.prog}: error: {message}", file=sys.stderr)
         return 2
 
 

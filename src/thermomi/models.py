@@ -125,11 +125,17 @@ def assemble_bipartite(bh: BipartiteHamiltonian) -> np.ndarray:
 
 
 def _local_part(bh: BipartiteHamiltonian) -> np.ndarray:
-    """H_A x I_B + I_A x H_B, the joint Hamiltonian without its coupling."""
-    # The blocks were validated when bh was built, so np.kron takes them as they are.
+    """H_A x I_B + I_A x H_B, the joint Hamiltonian without its coupling.
+
+    Each term is the array of products np.kron forms, entry (i, k, j, l) at
+    (i*d_b + k, j*d_b + l), broadcast into place without np.kron's copies.
+    The blocks were validated when bh was built, so they are taken as they are.
+    """
     eye_a = np.eye(bh.dims.d_a, dtype=np.complex128)
     eye_b = np.eye(bh.dims.d_b, dtype=np.complex128)
-    return np.kron(bh.h_a, eye_b) + np.kron(eye_a, bh.h_b)
+    local = bh.h_a[:, None, :, None] * eye_b[None, :, None, :]
+    local += eye_a[:, None, :, None] * bh.h_b[None, :, None, :]
+    return local.reshape(bh.dims.dim, bh.dims.dim)
 
 
 def xy_hamiltonian(p: XYParams) -> BipartiteHamiltonian:
@@ -194,13 +200,22 @@ def random_bipartite(
         raise ValueError(f"subsystem dimensions must be at least 2, got {d_a}x{d_b}")
     if not math.isfinite(interaction_scale) or interaction_scale < 0.0:
         raise ValueError(f"interaction_scale must be finite and >= 0, got {interaction_scale!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
 
     def draw(d: int) -> np.ndarray:
-        g = rng.standard_normal((d, d)) + 1.0j * rng.standard_normal((d, d))
-        return 0.5 * (g + g.conj().T)
+        # (G + G^dagger)/2, written part by part into h; the real part of G
+        # is done with before the imaginary part is drawn into its buffer.
+        h = np.empty((d, d), dtype=np.complex128)
+        g = rng.standard_normal((d, d))
+        np.multiply(np.add(g, g.T, out=h.real), 0.5, out=h.real)
+        rng.standard_normal(out=g)
+        np.multiply(np.subtract(g, g.T, out=h.imag), 0.5, out=h.imag)
+        return h
 
     h_a = draw(d_a)
     h_b = draw(d_b)
-    h_int = interaction_scale * draw(d_a * d_b)
+    h_int = draw(d_a * d_b)
+    h_int *= interaction_scale
     return BipartiteHamiltonian(h_a=h_a, h_b=h_b, h_int=h_int, dims=DimPair(d_a, d_b))

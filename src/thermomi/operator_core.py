@@ -95,8 +95,13 @@ def _first_failure(failed: np.ndarray, *values: np.ndarray) -> tuple:
 
 
 def _norms(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack (..., n, n)."""
-    return np.linalg.norm(m, axis=(-2, -1))
+    """Frobenius norm of each matrix of a contiguous stack (..., n, n).
+
+    Each matrix is read, without a copy, as the real vector of its 2 n^2
+    parts, whose dot product with itself is the squared norm.
+    """
+    parts = m.reshape(m.shape[:-2] + (m.shape[-2] * m.shape[-1],)).view(np.float64)
+    return np.sqrt(np.einsum("...i,...i->...", parts, parts))
 
 
 def _magnitude(scaled: float, unit: float) -> str:
@@ -106,10 +111,11 @@ def _magnitude(scaled: float, unit: float) -> str:
 
 
 def _as_matrices(m) -> np.ndarray:
-    """Validate ``m`` as a stack (..., n, n) of square finite matrices, as complex128."""
+    """Validate ``m`` as a stack (..., n, n) of square finite matrices, as contiguous complex128."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise OperatorError(f"expected a square matrix, got shape {a.shape}")
+    a = np.ascontiguousarray(a)
     finite = np.isfinite(a).all(axis=(-2, -1))
     if not finite.all():
         (where,) = _first_failure(~finite)
@@ -124,11 +130,15 @@ def _require_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     exponent of its largest entry: exact, and free of overflow. Returns the
     scaled stack, ``unit`` and the scaled norms.
     """
-    largest = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1), initial=0.0)
+    parts = a.view(np.float64)
+    largest = np.maximum(
+        parts.max(axis=(-2, -1), initial=0.0), -parts.min(axis=(-2, -1), initial=0.0)
+    )
     unit = np.ldexp(1.0, -np.maximum(np.frexp(largest)[1], 0))
     scaled = a * unit[..., None, None]
-    defect = _norms(scaled - np.swapaxes(scaled, -2, -1).conj())
     norm = _norms(scaled)
+    adjoint = np.conjugate(np.swapaxes(scaled, -2, -1), out=np.empty_like(scaled))
+    defect = _norms(np.subtract(scaled, adjoint, out=adjoint))
     failed = defect > EPS_HERM * np.maximum(unit, norm)
     if failed.any():
         where, worst, size, scale = _first_failure(failed, defect, norm, unit)
@@ -215,17 +225,24 @@ def eigh(h) -> SpectralDecomposition:
             f"{where}eigendecomposition did not converge for a dim-{a.shape[-1]} matrix: {exc}"
         ) from exc
 
-    # Eigenvalues are scaled like the matrix; one past the float range fails as a NaN residual.
+    # Two buffers serve both checks: V^dagger and the Gram matrix. Then the
+    # rows of V^dagger are scaled by the eigenvalues in place, so that the Gram
+    # buffer can take V W V^dagger.
     v_dagger = np.swapaxes(v, -2, -1).conj()
+    gram = v_dagger @ v
+    np.einsum("...ii->...i", gram)[...] -= 1.0
+    ortho = _norms(gram)
+    # Eigenvalues are scaled like the matrix; one past the float range fails as a NaN residual.
     with np.errstate(invalid="ignore"):
-        residual = _norms(scaled - (v * (w * unit[..., None])[..., None, :]) @ v_dagger)
+        v_dagger *= (w * unit[..., None])[..., :, None]
+        product = np.matmul(v, v_dagger, out=gram)
+        residual = _norms(np.subtract(scaled, product, out=product))
     failed = ~(residual <= EIG_RESIDUAL_TOL * np.maximum(unit, norm))
     if failed.any():
         where, worst, scale = _first_failure(failed, residual, unit)
         raise EigensolverError(
             f"{where}reconstruction residual {_magnitude(worst, scale)} violates contract"
         )
-    ortho = _norms(v_dagger @ v - np.eye(a.shape[-1]))
     failed = ortho > EIG_RESIDUAL_TOL
     if failed.any():
         where, worst = _first_failure(failed, ortho)

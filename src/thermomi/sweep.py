@@ -117,7 +117,9 @@ class ExploreSummary:
 
 def _validate_spec(spec: SweepSpec) -> None:
     if not (math.isfinite(spec.axis_min) and math.isfinite(spec.axis_max)):
-        raise ValueError("axis bounds must be finite")
+        raise ValueError(
+            f"axis_min {spec.axis_min!r} and axis_max {spec.axis_max!r} must be finite"
+        )
     if spec.axis_min >= spec.axis_max:
         raise ValueError(f"axis_min {spec.axis_min!r} must be below axis_max {spec.axis_max!r}")
     if spec.points < 2:

@@ -62,6 +62,24 @@ def random_hermitian(rng, d, unit_norm=False):
     return h
 
 
+def random_bipartite_blocks(d_a, d_b, interaction_scale, seed):
+    """(H_A, H_B, H_int) of ``random_bipartite`` by the documented recipe, with complex temporaries.
+
+    Each block is (G + G^dagger)/2, G = X + iY with X then Y drawn from
+    ``default_rng(seed)``, for H_A, H_B and H_int in turn; H_int is then
+    multiplied by ``interaction_scale``.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(d):
+        g = rng.standard_normal((d, d)) + 1.0j * rng.standard_normal((d, d))
+        return 0.5 * (g + g.conj().T)
+
+    h_a = draw(d_a)
+    h_b = draw(d_b)
+    return h_a, h_b, interaction_scale * draw(d_a * d_b)
+
+
 def random_density(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T

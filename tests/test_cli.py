@@ -308,6 +308,35 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["explore", "--dims", "2x2", "--seed", "-3"], "--seed must be >= 0, got -3"),
+        (
+            ["explore", "--dims", "2x2", "--scale", "inf"],
+            "--scale must be finite and >= 0, got inf",
+        ),
+        (
+            ["sweep-temperature", "--b1", "1", "--b2", "1", "--g", "1", "--min", "5", "--max", "1"],
+            "--min 5.0 must be below --max 1.0",
+        ),
+        (
+            ["sweep-coupling", "--b1", "1", "--b2", "1", "--beta", "1", "--min", "5", "--max", "1"],
+            "--min 5.0 must be below --max 1.0",
+        ),
+        (
+            ["sweep-coupling", "--b1", "1", "--b2", "1", "--beta", "1", "--max", "inf"],
+            "--min 0.0 and --max inf must be finite",
+        ),
+    ],
+)
+def test_usage_error_names_the_flag_that_was_typed(capsys, args, line):
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"thermomi: error: {line}\n"
+
+
 def test_rejected_beta_is_printed_as_a_plain_float(capsys):
     # the grid's last beta, 1 / 1e-320, overflows to inf
     args = ["sweep-temperature", "--b1", "1", "--b2", "1", "--g", "1", "--min", "1e-320", "--max", "1"]

@@ -19,7 +19,7 @@ from thermomi import (
 )
 from thermomi.models import PAULI_Z, BipartiteHamiltonian
 
-from oracles import mutual_information, random_hermitian, xy_spectrum
+from oracles import mutual_information, random_bipartite_blocks, random_hermitian, xy_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -249,3 +249,18 @@ def test_random_bipartite_rejects_small_dims():
         random_bipartite(1, 2, 1.0, seed=0)
     with pytest.raises(ValueError):
         random_bipartite(2, 2, -1.0, seed=0)
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (3, 5), (16, 16)])
+@pytest.mark.parametrize("scale", [0.0, 0.3, 1.0])
+def test_random_bipartite_reproduces_the_documented_recipe(d_a, d_b, scale):
+    for seed in (0, 1, 7, 123):
+        bh = random_bipartite(d_a, d_b, scale, seed=seed)
+        blocks = random_bipartite_blocks(d_a, d_b, scale, seed)
+        for got, want in zip((bh.h_a, bh.h_b, bh.h_int), blocks):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_random_bipartite_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
+        random_bipartite(2, 2, 1.0, seed=-3)

@@ -237,7 +237,7 @@ def test_explore_worst_seed_replays():
     assert min(gaps) == summary.gap_min
 
 
-@pytest.mark.parametrize("d_a, d_b, samples", [(8, 8, 6), (3, 5, 10)])
+@pytest.mark.parametrize("d_a, d_b, samples", [(8, 8, 6), (3, 5, 10), (16, 16, 2)])
 def test_explore_gap_min_equals_pointwise_replay(d_a, d_b, samples):
     betas = (0.1, 1.0, 10.0, 100.0)
     summary = explore_bound(d_a, d_b, samples, betas, 1.0, seed=23)

@@ -18,8 +18,9 @@ from thermomi import (
     xy_hamiltonian,
 )
 from thermomi.models import PAULI_Z
+from thermomi.thermal import _MATMUL_MIN_DIM, _reduced_blocks
 
-from oracles import random_hermitian, xy_closed_form
+from oracles import brute_partial_trace, random_hermitian, xy_closed_form
 
 
 def xy_state(b1, b2, g, beta):
@@ -241,3 +242,45 @@ def test_ground_population_grows_with_beta():
             for b in (0.5, 1.0, 2.0, 4.0)
         ]
         assert all(populations[i + 1] > populations[i] for i in range(len(populations) - 1))
+
+
+# ---------------------------------------------------------------------------
+# eigenprojector blocks of the spectral kernel
+# ---------------------------------------------------------------------------
+
+def random_eigenvectors(rng, dims, stack=()):
+    """Eigenvector matrices (*stack, n, n) of random Hermitian matrices, from numpy."""
+    shape = stack + (dims.dim, dims.dim)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return np.linalg.eigh(g + np.swapaxes(g, -2, -1).conj())[1]
+
+
+# 2x2 and 3x5 take the elementwise loop, 8x8 and 16x16 the batched matmul
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (3, 5), (8, 8), (16, 16)])
+def test_reduced_blocks_are_partial_traces_of_projectors(d_a, d_b):
+    dims = DimPair(d_a, d_b)
+    v = random_eigenvectors(np.random.default_rng(d_a * d_b), dims)
+    block_a, block_b = _reduced_blocks(v, dims)
+    assert block_a.shape == (d_a, d_a, dims.dim) and block_a.flags.c_contiguous
+    assert block_b.shape == (d_b, d_b, dims.dim) and block_b.flags.c_contiguous
+    for k in range(dims.dim):
+        projector = np.outer(v[:, k], v[:, k].conj())
+        want_a = brute_partial_trace(projector, d_a, d_b, "A")
+        want_b = brute_partial_trace(projector, d_a, d_b, "B")
+        assert np.abs(block_a[..., k] - want_a).max() <= 1e-14
+        assert np.abs(block_b[..., k] - want_b).max() <= 1e-14
+
+
+def test_reduced_blocks_size_selection_straddles_the_test_dims():
+    assert 3 * 5 < _MATMUL_MIN_DIM <= 8 * 8
+
+
+@pytest.mark.parametrize("d, stack", [(2, 1), (2, 3), (2, 201), (16, 1), (16, 3)])
+def test_reduced_blocks_of_a_stack_are_bitwise_those_of_each_entry(d, stack):
+    dims = DimPair(d, d)
+    v = random_eigenvectors(np.random.default_rng(stack), dims, (stack,))
+    block_a, block_b = _reduced_blocks(v, dims)
+    for i in range(stack):
+        alone_a, alone_b = _reduced_blocks(v[i], dims)
+        assert block_a[i].tobytes() == alone_a.tobytes()
+        assert block_b[i].tobytes() == alone_b.tobytes()
