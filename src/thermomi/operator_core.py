@@ -26,7 +26,6 @@ __all__ = [
     "DimPair",
     "SpectralDecomposition",
     "as_operator",
-    "frobenius_norm",
     "require_hermitian",
     "kron",
     "partial_trace",
@@ -155,11 +154,6 @@ def as_operator(m) -> np.ndarray:
     if a.ndim != 2:
         raise OperatorError(f"expected a square matrix, got shape {a.shape}")
     return _as_matrices(a)
-
-
-def frobenius_norm(m) -> float:
-    """Frobenius norm, the distance measure used for all operator comparisons."""
-    return float(np.linalg.norm(m))
 
 
 def require_hermitian(m) -> np.ndarray:

@@ -14,9 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .information import _thermal_points
+from .information import _check_beta, _thermal_points
 from .models import XYParams, random_bipartite, xy_hamiltonian
-from .thermal import _check_beta
 
 __all__ = [
     "VIOLATION_TOL",

@@ -1,11 +1,7 @@
 import math
-import os
-import sys
 
 import numpy as np
 import pytest
-
-sys.path.insert(0, os.path.dirname(__file__))
 
 
 @pytest.fixture

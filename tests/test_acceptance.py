@@ -20,7 +20,6 @@ from thermomi import (
     assemble_bipartite,
     energy_breakdown,
     fig1_suite,
-    frobenius_norm,
     gibbs_state,
     partial_trace,
     random_bipartite,
@@ -32,7 +31,13 @@ from thermomi import (
 )
 from thermomi.cli import main as cli_main
 
-from oracles import mutual_information, oracle_expm_taylor, random_hermitian, spectral_apply
+from oracles import (
+    frobenius_norm,
+    mutual_information,
+    oracle_expm_taylor,
+    random_hermitian,
+    spectral_apply,
+)
 
 LN2 = math.log(2.0)
 BATTERY_BETAS = (0.1, 0.5, 1.0, 2.0, 10.0)

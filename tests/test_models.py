@@ -8,7 +8,6 @@ from thermomi import (
     GroundStateClass,
     XYParams,
     assemble_bipartite,
-    frobenius_norm,
     kron,
     gibbs_state,
     partial_trace,
@@ -19,7 +18,13 @@ from thermomi import (
 )
 from thermomi.models import PAULI_Z, BipartiteHamiltonian
 
-from oracles import mutual_information, random_bipartite_blocks, random_hermitian, xy_spectrum
+from oracles import (
+    frobenius_norm,
+    mutual_information,
+    random_bipartite_blocks,
+    random_hermitian,
+    xy_spectrum,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from thermomi import (
     HermiticityError,
     OperatorError,
     eigh,
-    frobenius_norm,
     kron,
     partial_trace,
     require_hermitian,
@@ -20,6 +19,7 @@ from oracles import (
     SpectralDomainError,
     brute_kron,
     brute_partial_trace,
+    frobenius_norm,
     oracle_expm_taylor,
     random_density,
     random_hermitian,

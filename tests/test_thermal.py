@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from thermomi import (
     XYParams,
     assemble_bipartite,
     energy_breakdown,
-    frobenius_norm,
     gibbs_state,
     local_gibbs_state,
     random_bipartite,
@@ -17,10 +18,11 @@ from thermomi import (
     von_neumann_entropy,
     xy_hamiltonian,
 )
+from thermomi import information, thermal
+from thermomi.information import _MATMUL_MIN_DIM, _reduced_blocks
 from thermomi.models import PAULI_Z
-from thermomi.thermal import _MATMUL_MIN_DIM, _reduced_blocks
 
-from oracles import brute_partial_trace, random_hermitian, xy_closed_form
+from oracles import brute_partial_trace, frobenius_norm, random_hermitian, xy_closed_form
 
 
 def xy_state(b1, b2, g, beta):
@@ -284,3 +286,50 @@ def test_reduced_blocks_of_a_stack_are_bitwise_those_of_each_entry(d, stack):
         alone_a, alone_b = _reduced_blocks(v[i], dims)
         assert block_a[i].tobytes() == alone_a.tobytes()
         assert block_b[i].tobytes() == alone_b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# independence from the spectral kernel
+# ---------------------------------------------------------------------------
+
+def reference_values(models, betas):
+    """Every array and number gibbs_state and local_gibbs_state return, as bytes."""
+    values = []
+    for bh in models:
+        h = assemble_bipartite(bh)
+        for beta in betas:
+            ts = gibbs_state(h, beta, bh.dims)
+            values += [ts.rho, ts.rho_a, ts.rho_b, ts.log_z, ts.energy]
+            for block in (bh.h_a, bh.h_b):
+                local = local_gibbs_state(block, beta)
+                values += [local.rho_tilde, local.log_z_local]
+    return [np.asarray(value).tobytes() for value in values]
+
+
+def test_reference_shares_no_code_with_the_kernel(monkeypatch):
+    for name in ("_populations", "_reduced_blocks", "_reduced_states", "_trace_out_middle",
+                 "_k_last"):
+        assert not hasattr(thermal, name), name
+    tree = ast.parse(Path(information.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "thermal" not in (node.module or "").split("."), node.module
+            assert "thermal" not in [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.endswith("thermal") for alias in node.names)
+
+    models = [random_bipartite(d_a, d_b, 1.0, seed=900) for d_a, d_b in ((2, 2), (2, 3), (3, 3))]
+    betas = (0.0, 0.1, 1.0, 10.0, 500.0)
+    unpatched = reference_values(models, betas)
+
+    class KernelCalled(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise KernelCalled
+
+    for name in ("_populations", "_reduced_blocks", "_reduced_states"):
+        monkeypatch.setattr(information, name, refuse)
+    with pytest.raises(KernelCalled):
+        information.thermal_point(models[0], 1.0)
+    assert reference_values(models, betas) == unpatched
