@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .models import XYParams, xy_ground_state
 from .sweep import (
     DEFAULT_COUPLING_GRID,
     DEFAULT_TEMPERATURE_GRID,
-    ExploreSummary,
     Spacing,
     SweepMode,
     SweepRecord,
@@ -37,18 +35,14 @@ from .operator_core import OperatorError
 
 __all__ = ["CSV_HEADER", "main"]
 
-_CSV_FIELDS = [f.name for f in fields(SweepRecord)]
-CSV_HEADER = ",".join(_CSV_FIELDS)
+CSV_HEADER = ",".join(SweepRecord._fields)
+# 15 significant digits: the serialization contract for every number.
+_CSV_ROW = ",".join(["%.15g"] * len(SweepRecord._fields))
 
 # Library parameters set by a flag of another name; a rejected argument's
 # message names the flag that was typed.
 _FLAGS = {"axis_min": "--min", "axis_max": "--max", "interaction_scale": "--scale", "seed": "--seed"}
 _PARAMETER = re.compile(r"\b(" + "|".join(_FLAGS) + r")\b")
-
-
-def _fmt(x: float) -> str:
-    """15 significant digits; the serialization contract for every number."""
-    return format(float(x), ".15g")
 
 
 def _json_value(v) -> str:
@@ -57,7 +51,7 @@ def _json_value(v) -> str:
     if isinstance(v, float):
         if math.isinf(v):
             return "Infinity" if v > 0 else "-Infinity"
-        return _fmt(v)
+        return "%.15g" % v
     if isinstance(v, str):
         return json.dumps(v)
     if isinstance(v, (list, tuple)):
@@ -70,18 +64,12 @@ def _json_object(items, indent: str = "") -> str:
     return f"{indent}{{\n{body}\n{indent}}}"
 
 
-def _record_items(rec: SweepRecord):
-    return [(name, getattr(rec, name)) for name in _CSV_FIELDS]
-
-
 def _records_csv(records) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(",".join(_fmt(getattr(rec, name)) for name in _CSV_FIELDS) for rec in records)
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *(_CSV_ROW % rec for rec in records)]) + "\n"
 
 
 def _records_json(records) -> str:
-    objs = [_json_object(_record_items(rec), indent="  ") for rec in records]
+    objs = [_json_object(zip(rec._fields, rec), indent="  ") for rec in records]
     return "[\n" + ",\n".join(objs) + "\n]\n"
 
 
@@ -156,9 +144,8 @@ def cmd_point(parser, args) -> int:
     if args.format == "csv":
         _write_text(args.out, _records_csv([rec]))
     else:
-        items = _record_items(rec)
-        items.append(("beta", beta))
-        items.append(("ground_state", xy_ground_state(params).classification.value))
+        ground_state = xy_ground_state(params).classification.value
+        items = [*zip(rec._fields, rec), ("beta", beta), ("ground_state", ground_state)]
         _write_text(args.out, _json_object(items) + "\n")
     return 0
 
@@ -209,8 +196,7 @@ def cmd_explore(parser, args) -> int:
         seed=args.seed,
     )
     # The first two fields, d_a and d_b, are written as one "dims".
-    items = [("dims", f"{summary.d_a}x{summary.d_b}")]
-    items.extend((f.name, getattr(summary, f.name)) for f in fields(ExploreSummary)[2:])
+    items = [("dims", f"{summary.d_a}x{summary.d_b}"), *zip(summary._fields[2:], summary[2:])]
     _write_text(args.out, _json_object(items) + "\n")
     return 5 if summary.violations else 0
 

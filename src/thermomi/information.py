@@ -15,7 +15,7 @@ reference it is checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ class InvalidStateError(OperatorError):
     """Matrix failed the density-matrix checks (unit trace, PSD, Hermitian)."""
 
 
-@dataclass(frozen=True)
-class InfoReport:
+class InfoReport(NamedTuple):
     """Entropies, mutual information and its upper bound for one thermal point."""
 
     s_a: float
@@ -59,8 +58,7 @@ class InfoReport:
     beta: float
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(NamedTuple):
     """Total thermal energy split into local and interaction parts."""
 
     e_total: float
@@ -298,6 +296,6 @@ def thermal_point(bh: BipartiteHamiltonian, beta: float) -> tuple[InfoReport, En
     """
     point = {name: column.item() for name, column in _thermal_points(bh, (beta,)).items()}
     return (
-        InfoReport(**{f.name: point[f.name] for f in fields(InfoReport)}),
-        EnergyBreakdown(**{f.name: point[f.name] for f in fields(EnergyBreakdown)}),
+        InfoReport._make(point[name] for name in InfoReport._fields),
+        EnergyBreakdown._make(point[name] for name in EnergyBreakdown._fields),
     )

@@ -8,9 +8,9 @@ byte once serialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,9 +72,8 @@ class SweepSpec:
     beta_inv: float = 1.0
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """All quantities of one grid point; field order matches the CSV schema."""
+class SweepRecord(NamedTuple):
+    """All quantities of one grid point; its fields, in order, are the CSV columns."""
 
     beta_inv: float
     g: float
@@ -95,8 +94,7 @@ class SweepRecord:
     log_z_ab: float
 
 
-@dataclass(frozen=True)
-class ExploreSummary:
+class ExploreSummary(NamedTuple):
     """Aggregate of the random bound-explorer battery."""
 
     d_a: int
@@ -129,7 +127,7 @@ def _validate_spec(spec: SweepSpec) -> None:
         raise ValueError("temperature sweeps require beta_inv > 0")
     if spec.mode is SweepMode.COUPLING:
         if not math.isfinite(spec.beta_inv) or spec.beta_inv <= 0.0:
-            raise ValueError(f"fixed beta_inv must be positive, got {spec.beta_inv!r}")
+            raise ValueError(f"fixed beta_inv must be finite and > 0, got {spec.beta_inv!r}")
 
 
 def sweep_axis(spec: SweepSpec) -> np.ndarray:
@@ -138,9 +136,6 @@ def sweep_axis(spec: SweepSpec) -> np.ndarray:
     if spec.spacing is Spacing.LOG:
         return np.geomspace(spec.axis_min, spec.axis_max, spec.points)
     return np.linspace(spec.axis_min, spec.axis_max, spec.points)
-
-
-_RECORD_FIELDS = [f.name for f in fields(SweepRecord)]
 
 
 def _records(params: XYParams, beta_inv, g, columns) -> list[SweepRecord]:
@@ -153,8 +148,8 @@ def _records(params: XYParams, beta_inv, g, columns) -> list[SweepRecord]:
     values = dict(
         columns, beta_inv=np.asarray(beta_inv, dtype=np.float64), g=g, b1=params.b1, b2=params.b2
     )
-    rows = zip(*(np.broadcast_to(values[name], (points,)).tolist() for name in _RECORD_FIELDS))
-    return [SweepRecord(*row) for row in rows]
+    rows = zip(*(np.broadcast_to(values[name], (points,)).tolist() for name in SweepRecord._fields))
+    return list(map(SweepRecord._make, rows))
 
 
 def evaluate_xy_point(params: XYParams, beta: float, beta_inv: float | None = None) -> SweepRecord:

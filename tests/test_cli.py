@@ -81,6 +81,57 @@ def test_point_csv_and_json_print_identical_digits(capsys):
         assert format(float(obj[name]), ".15g") == token
 
 
+# At beta = 0 the one non-finite number either writer prints is beta_inv.
+INFINITE_TEMPERATURE_JSON = """\
+{
+  "beta_inv": Infinity,
+  "g": 1,
+  "b1": 0.5,
+  "b2": 0.5,
+  "mutual_info": 0,
+  "upper_bound": 0,
+  "gap": 0,
+  "s_a": 0.693147180559945,
+  "s_b": 0.693147180559945,
+  "s_ab": 1.38629436111989,
+  "e_total": 0,
+  "e_a": 0,
+  "e_b": 0,
+  "e_int": 0,
+  "log_z_a": 0.693147180559945,
+  "log_z_b": 0.693147180559945,
+  "log_z_ab": 1.38629436111989,
+  "beta": 0,
+  "ground_state": "entangled"
+}
+"""
+INFINITE_TEMPERATURE_CSV_ROW = (
+    "inf,1,0.5,0.5,0,0,0,0.693147180559945,0.693147180559945,1.38629436111989,"
+    "0,0,0,0,0.693147180559945,0.693147180559945,1.38629436111989\n"
+)
+
+
+def test_point_infinite_temperature_prints_exact_bytes(capsys):
+    args = ["point", "--b1", "0.5", "--b2", "0.5", "--g", "1", "--beta", "0"]
+    assert run_cli(args, capsys) == (0, INFINITE_TEMPERATURE_JSON)
+    assert run_cli(args + ["--format", "csv"], capsys) == (
+        0,
+        CSV_HEADER + "\n" + INFINITE_TEMPERATURE_CSV_ROW,
+    )
+
+
+def test_negative_exponent_value_needs_the_equals_form(capsys):
+    # argparse reads "-1e-3" as a flag, so a negative number in exponent
+    # form must be attached with "="
+    code, out = run_cli(
+        ["point", "--b1=-1e-3", "--b2", "1", "--g", "1", "--beta", "1", "--format", "csv"],
+        capsys,
+    )
+    assert code == 0
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["b1"] == "-0.001"
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -327,6 +378,14 @@ def test_usage_errors_exit_2(capsys):
         (
             ["sweep-coupling", "--b1", "1", "--b2", "1", "--beta", "1", "--max", "inf"],
             "--min 0.0 and --max inf must be finite",
+        ),
+        (
+            ["sweep-coupling", "--b1", "1", "--b2", "1", "--beta", "0"],
+            "fixed beta_inv must be finite and > 0, got inf",
+        ),
+        (
+            ["sweep-coupling", "--b1", "1", "--b2", "1", "--beta", "1e-320"],
+            "fixed beta_inv must be finite and > 0, got inf",
         ),
     ],
 )
